@@ -59,6 +59,20 @@ std::optional<ClassifiedFault> classifyFault(std::exception_ptr ep) {
   }
 }
 
+namespace {
+
+// Local id of a vertex `part` must hold a proxy of.
+uint64_t proxyLid(const DistGraph& part, uint64_t gid) {
+  const std::optional<uint64_t> lid = part.localIdOf(gid);
+  if (!lid) {
+    throw std::logic_error(
+        "redistributePartitions: vertex without a proxy on its host");
+  }
+  return *lid;
+}
+
+}  // namespace
+
 std::vector<DistGraph> redistributePartitions(
     const std::vector<DistGraph>& parts,
     const std::vector<uint32_t>& evictedRanks, bool compact) {
@@ -184,10 +198,6 @@ std::vector<DistGraph> redistributePartitions(
         dst.localToGlobal.push_back(gid);  // mirrors, ascending
       }
     }
-    dst.globalToLocal.reserve(dst.localToGlobal.size());
-    for (uint64_t lid = 0; lid < dst.localToGlobal.size(); ++lid) {
-      dst.globalToLocal.emplace(dst.localToGlobal[lid], lid);
-    }
     dst.masterHostOfLocal.resize(dst.localToGlobal.size());
     for (uint64_t lid = 0; lid < dst.localToGlobal.size(); ++lid) {
       dst.masterHostOfLocal[lid] = slotOf[newMasterOf[dst.localToGlobal[lid]]];
@@ -196,8 +206,8 @@ std::vector<DistGraph> redistributePartitions(
     std::vector<graph::Edge> local;
     local.reserve(edgesOf[s].size());
     for (const GEdge& e : edgesOf[s]) {
-      local.push_back(graph::Edge{dst.globalToLocal.at(e.row),
-                                  dst.globalToLocal.at(e.col), e.data});
+      local.push_back(
+          graph::Edge{proxyLid(dst, e.row), proxyLid(dst, e.col), e.data});
     }
     std::sort(local.begin(), local.end());  // canonical sorted rows
     dst.graph =
@@ -213,7 +223,7 @@ std::vector<DistGraph> redistributePartitions(
       const uint32_t a = newMasterOf[gid];
       pb.myMirrorsByOwner[slotOf[a]].push_back(lid);
       out[slotOf[a]].mirrorsOnHost[slotOf[b]].push_back(
-          out[slotOf[a]].globalToLocal.at(gid));
+          proxyLid(out[slotOf[a]], gid));
     }
   }
   return out;

@@ -10,6 +10,20 @@
 
 namespace cusp::core {
 
+std::optional<uint64_t> DistGraph::localIdOf(uint64_t globalId) const {
+  const auto first = localToGlobal.begin();
+  const auto split =
+      first + static_cast<ptrdiff_t>(std::min(numMasters, numLocalNodes()));
+  for (const auto& [lo, hi] : {std::pair{first, split},
+                               std::pair{split, localToGlobal.end()}}) {
+    const auto it = std::lower_bound(lo, hi, globalId);
+    if (it != hi && *it == globalId) {
+      return static_cast<uint64_t>(it - first);
+    }
+  }
+  return std::nullopt;
+}
+
 std::vector<graph::Edge> DistGraph::edgesWithGlobalIds() const {
   std::vector<graph::Edge> edges;
   edges.reserve(graph.numEdges());
@@ -115,16 +129,23 @@ DistGraph deserializeDistGraph(support::RecvBuffer& buf) {
   part.graph = graph::CsrGraph(std::move(rowStart), std::move(dests),
                                std::move(edgeData));
   support::deserializeAll(buf, part.mirrorsOnHost, part.myMirrorsByOwner);
-  part.globalToLocal.reserve(part.localToGlobal.size());
-  for (uint64_t lid = 0; lid < part.localToGlobal.size(); ++lid) {
-    part.globalToLocal.emplace(part.localToGlobal[lid], lid);
-  }
   if (part.numMasters > part.numLocalNodes() ||
       part.masterHostOfLocal.size() != part.numLocalNodes() ||
       part.graph.numNodes() != part.numLocalNodes() ||
       part.mirrorsOnHost.size() != part.numHosts ||
       part.myMirrorsByOwner.size() != part.numHosts) {
     throw std::runtime_error("inconsistent sizes");
+  }
+  // localIdOf binary-searches each half, so the layout is part of the
+  // format: both halves strictly increasing, every id a real vertex.
+  const auto& l2g = part.localToGlobal;
+  for (uint64_t lid = 0; lid < l2g.size(); ++lid) {
+    if (l2g[lid] >= part.numGlobalNodes) {
+      throw std::runtime_error("global id out of range");
+    }
+    if (lid > 0 && lid != part.numMasters && l2g[lid] <= l2g[lid - 1]) {
+      throw std::runtime_error("local ids not sorted by global id");
+    }
   }
   return part;
 }
@@ -204,20 +225,21 @@ void validatePartitions(const graph::CsrGraph& original,
     if (part.graph.numNodes() != part.numLocalNodes()) {
       fail("local CSR node count mismatch on host " + std::to_string(h));
     }
-    // Layout: masters sorted, then mirrors sorted; globalToLocal inverse.
+    // Layout: masters sorted, then mirrors sorted; given that, localIdOf
+    // is the inverse of localToGlobal unless a vertex is in both halves.
     for (uint64_t lid = 0; lid < part.numLocalNodes(); ++lid) {
       const uint64_t gid = part.localToGlobal[lid];
       if (gid >= numGlobal) {
         fail("global id out of range on host " + std::to_string(h));
       }
-      auto found = part.localIdOf(gid);
-      if (!found || *found != lid) {
-        fail("globalToLocal not inverse of localToGlobal on host " +
-             std::to_string(h));
-      }
       if (lid + 1 < part.numLocalNodes() && lid + 1 != part.numMasters &&
           part.localToGlobal[lid + 1] <= gid) {
         fail("local ids not sorted by global id within segment on host " +
+             std::to_string(h));
+      }
+      auto found = part.localIdOf(gid);
+      if (!found || *found != lid) {
+        fail("localIdOf not inverse of localToGlobal on host " +
              std::to_string(h));
       }
       if (part.isMaster(lid)) {

@@ -3,17 +3,16 @@
 // engines synchronize over (paper Section II).
 //
 // Local id layout: masters first (sorted by global id), then mirrors
-// (sorted by global id). Every vertex of the original graph has exactly one
-// master proxy across all partitions; a mirror exists on a host iff some
-// edge assigned to that host touches the vertex and the host is not the
-// vertex's master.
+// (sorted by global id); localIdOf binary-searches the two halves. Every
+// vertex of the original graph has exactly one master proxy across all
+// partitions; a mirror exists on a host iff some edge assigned to that host
+// touches the vertex and the host is not the vertex's master.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/csr_graph.h"
@@ -34,9 +33,9 @@ struct DistGraph {
   bool isTransposed = false;  // true if `graph` holds the CSC orientation
 
   // Local ids [0, numMasters) are masters; [numMasters, numLocal) mirrors.
+  // Each half is strictly increasing in global id.
   uint64_t numMasters = 0;
   std::vector<uint64_t> localToGlobal;
-  std::unordered_map<uint64_t, uint64_t> globalToLocal;
 
   // Host holding the master proxy of each local node (== hostId for
   // masters).
@@ -58,13 +57,9 @@ struct DistGraph {
   bool isMaster(uint64_t localId) const { return localId < numMasters; }
 
   uint64_t globalId(uint64_t localId) const { return localToGlobal[localId]; }
-  std::optional<uint64_t> localIdOf(uint64_t globalId) const {
-    auto it = globalToLocal.find(globalId);
-    if (it == globalToLocal.end()) {
-      return std::nullopt;
-    }
-    return it->second;
-  }
+  // Binary search over the master half, then the mirror half; nullopt when
+  // this host holds no proxy of the vertex.
+  std::optional<uint64_t> localIdOf(uint64_t globalId) const;
 
   // Materializes this partition's edges with global endpoints (and edge
   // data); used to validate that partitions reassemble into the input.
@@ -102,17 +97,20 @@ DistGraph loadDistGraph(const std::string& path);
 
 // In-memory (de)serialization of the full DistGraph, shared by the .cdg
 // file format and the phase-5 partitioning checkpoints. The byte stream is
-// deterministic for a given partition (globalToLocal is rebuilt from
-// localToGlobal, never serialized), so bit-identical partitions produce
+// deterministic for a given partition, so bit-identical partitions produce
 // bit-identical streams — the property the recovery tests compare on.
+// Deserialization rejects a localToGlobal whose master or mirror half is not
+// strictly increasing or that names a vertex >= numGlobalNodes, since
+// localIdOf depends on that layout.
 void serializeDistGraph(support::SendBuffer& buf, const DistGraph& part);
 DistGraph deserializeDistGraph(support::RecvBuffer& buf);
 
 // Exhaustive structural validation of a partition set against the original
 // graph; throws std::logic_error with a description on the first violation.
-// Checks: exactly one master per vertex, local id layout, globalToLocal
-// consistency, mirror metadata pairing across hosts, and (optionally) the
-// edge multiset. Used by tests and by examples in debug mode.
+// Checks: exactly one master per vertex, local id layout (which makes
+// localIdOf the inverse of localToGlobal), mirror metadata pairing across
+// hosts, and (optionally) the edge multiset. Used by tests and by examples
+// in debug mode.
 void validatePartitions(const graph::CsrGraph& original,
                         std::span<const DistGraph> partitions,
                         bool checkEdgeMultiset = true);

@@ -5,8 +5,8 @@
 #include <chrono>
 #include <cstring>
 #include <optional>
+#include <stdexcept>
 #include <thread>
-#include <unordered_map>
 
 #include "core/checkpoint.h"
 #include "core/degraded.h"
@@ -27,6 +27,11 @@ using graph::ReadRange;
 using support::DynamicBitset;
 using support::RecvBuffer;
 using support::SendBuffer;
+
+// Local-id table entry of a node without a proxy on this host.
+constexpr uint32_t kNoLocal = UINT32_MAX;
+
+using MasterPairs = std::vector<std::pair<uint64_t, uint32_t>>;
 
 // One host's partitioning job; phase methods run in order and share state
 // through the members. All inter-host data moves through `net`.
@@ -259,42 +264,34 @@ class PartitionJob {
           .add();
     }
     RecvBuffer buf(std::move(*payload));
-    switch (phase) {
-      case 1:
-        break;
-      case 2:
-        restoreMasterSection(buf);
-        break;
-      case 3:
-        restoreMasterSection(buf);
-        restoreEdgeSection(buf);
-        break;
-      case 4:
-        restoreMasterSection(buf);
-        restoreAllocSection(buf);
-        break;
-      case 5:
-        result_ = deserializeDistGraph(buf);
-        break;
+    if (phase >= 2 && phase <= 4) {
+      restoreMasterSection(buf);
+      if (phase >= 3 && pureMasterPath()) {
+        fillPureMasterTable();  // edge assignment, which fills it, is done
+      }
+    }
+    if (phase == 3) {
+      restoreEdgeSection(buf);
+    } else if (phase == 4) {
+      restoreAllocSection(buf);
+    } else if (phase == 5) {
+      result_ = deserializeDistGraph(buf);
     }
   }
 
   // Master-assignment outputs, needed by every later phase (masterOf).
-  // Pure-master policies recompute assignments on demand, so only the
-  // partitioning-state snapshot is stored for them.
+  // Pure-master policies refill the master table from the rule instead, so
+  // only the partitioning-state snapshot is stored for them.
   void serializeMasterSection(SendBuffer& buf) const {
     const uint8_t stateful = pureMasterPath() ? 0 : 1;
     support::serialize(buf, stateful);
     if (stateful) {
-      std::vector<uint32_t> masters(masterOfMine_.size());
-      for (size_t i = 0; i < masterOfMine_.size(); ++i) {
-        masters[i] = masterOfMine_[i].load(std::memory_order_relaxed);
+      std::vector<uint32_t> masters(myNumNodes());
+      for (uint64_t idx = 0; idx < masters.size(); ++idx) {
+        masters[idx] = masterTable_[myRange_.nodeBegin + idx].load(
+            std::memory_order_relaxed);
       }
-      support::serialize(buf, masters);
-      std::vector<std::pair<uint64_t, uint32_t>> remote(
-          remoteMasters_.begin(), remoteMasters_.end());
-      std::sort(remote.begin(), remote.end());
-      support::serialize(buf, remote);
+      support::serializeAll(buf, masters, masterPairs(requested_));
     }
     state_.serializeSnapshot(buf);
   }
@@ -304,15 +301,21 @@ class PartitionJob {
     support::deserialize(buf, stateful);
     if (stateful) {
       std::vector<uint32_t> masters;
-      support::deserialize(buf, masters);
-      masterOfMine_ = std::vector<std::atomic<uint32_t>>(masters.size());
-      for (size_t i = 0; i < masters.size(); ++i) {
-        masterOfMine_[i].store(masters[i], std::memory_order_relaxed);
+      MasterPairs remote;
+      support::deserializeAll(buf, masters, remote);
+      if (masters.size() != myNumNodes() ||
+          std::any_of(masters.begin(), masters.end(),
+                      [&](uint32_t m) { return m >= numHosts(); })) {
+        badEntry("checkpointed masters do not fit the read range and hosts");
       }
-      std::vector<std::pair<uint64_t, uint32_t>> remote;
-      support::deserialize(buf, remote);
-      remoteMasters_.clear();
-      remoteMasters_.insert(remote.begin(), remote.end());
+      resetMasterTable();
+      for (uint64_t idx = 0; idx < masters.size(); ++idx) {
+        masterTable_[myRange_.nodeBegin + idx].store(
+            masters[idx], std::memory_order_relaxed);
+      }
+      for (const auto& [gid, master] : remote) {
+        learnMaster(gid, master, requested_);
+      }
     }
     state_.restoreSnapshot(buf);
   }
@@ -320,18 +323,32 @@ class PartitionJob {
   // Edge-assignment outputs, needed to enter graph allocation.
   void serializeEdgeSection(SendBuffer& buf) const {
     support::serialize(buf, countsFrom_);
-    std::vector<std::pair<uint64_t, uint32_t>> mirrors(
-        mirrorMasterHost_.begin(), mirrorMasterHost_.end());
-    std::sort(mirrors.begin(), mirrors.end());
-    support::serializeAll(buf, mirrors, myMasterNodes_);
+    support::serializeAll(buf, masterPairs(mirrors_), myMasterNodes_);
   }
 
   void restoreEdgeSection(RecvBuffer& buf) {
-    support::deserialize(buf, countsFrom_);
-    std::vector<std::pair<uint64_t, uint32_t>> mirrors;
-    support::deserializeAll(buf, mirrors, myMasterNodes_);
-    mirrorMasterHost_.clear();
-    mirrorMasterHost_.insert(mirrors.begin(), mirrors.end());
+    MasterPairs mirrors;
+    support::deserializeAll(buf, countsFrom_, mirrors, myMasterNodes_);
+    if (countsFrom_.size() != numHosts()) {
+      badEntry("checkpointed edge counts do not cover every host");
+    }
+    mirrors_.resize(prop_.getNumNodes());
+    for (const auto& [gid, master] : mirrors) {
+      learnMaster(gid, master, mirrors_);
+    }
+  }
+
+  // (gid, master) pairs of the nodes set in `nodes`, ascending by gid: the
+  // checkpoint form of a subset of the master table.
+  MasterPairs masterPairs(const DynamicBitset& nodes) const {
+    std::vector<uint64_t> gids;
+    nodes.collectSetBits(gids);
+    MasterPairs pairs(gids.size());
+    for (size_t i = 0; i < gids.size(); ++i) {
+      pairs[i] = {gids[i],
+                  masterTable_[gids[i]].load(std::memory_order_relaxed)};
+    }
+    return pairs;
   }
 
   // Allocation outputs, needed to enter graph construction. The local CSR
@@ -353,11 +370,7 @@ class PartitionJob {
                             result_.masterHostOfLocal, result_.mirrorsOnHost,
                             result_.myMirrorsByOwner, localRowStart_,
                             expectedRemoteEdges_);
-    result_.globalToLocal.clear();
-    result_.globalToLocal.reserve(result_.localToGlobal.size());
-    for (uint64_t lid = 0; lid < result_.localToGlobal.size(); ++lid) {
-      result_.globalToLocal.emplace(result_.localToGlobal[lid], lid);
-    }
+    buildLocalIdTable();
     localDests_.assign(localRowStart_.back(), 0);
     if (file_.hasEdgeData()) {
       localEdgeData_.assign(localRowStart_.back(), 0);
@@ -589,14 +602,10 @@ class PartitionJob {
   void phaseMasterAssignment() {
     if (pureMasterPath()) {
       // Pure rule: replicate computation instead of communicating (paper
-      // IV-D5). masterOf() calls the rule directly; nothing to do here.
+      // IV-D5). Edge assignment fills the master table; nothing to do here.
       return;
     }
-    masterOfMine_ =
-        std::vector<std::atomic<uint32_t>>(myNumNodes());
-    for (auto& m : masterOfMine_) {
-      m.store(kNoMaster, std::memory_order_relaxed);
-    }
+    resetMasterTable();
 
     // Pre-request the master assignments this host will need: the
     // destinations of its read edges (they are both the Fennel scoring
@@ -646,6 +655,12 @@ class PartitionJob {
       }
       auto msg = net_.recvFrom(me_, h, comm::kTagMasterRequest);
       support::deserialize(msg.payload, requestsFrom[h]);
+      for (uint64_t gid : requestsFrom[h]) {
+        if (!inMyRange(gid)) {
+          badEntry("request for the master of node " + std::to_string(gid) +
+                   " outside the read range");
+        }
+      }
     }
 
     // Assign my read vertices in `rounds` chunks; after each chunk, ship
@@ -657,11 +672,7 @@ class PartitionJob {
     std::vector<size_t> requestCursor(numHosts(), 0);
     uint64_t totalReceived = 0;
     MasterLookup lookup = [this](uint64_t gid) -> uint32_t {
-      if (inMyRange(gid)) {
-        return masterOfMine_[windowIndex(gid)].load(std::memory_order_relaxed);
-      }
-      auto it = remoteMasters_.find(gid);
-      return it == remoteMasters_.end() ? kNoMaster : it->second;
+      return masterTable_[gid].load(std::memory_order_relaxed);
     };
     for (uint64_t r = 0; r < rounds; ++r) {
       const uint64_t begin = std::min(myNumNodes(), r * chunk);
@@ -672,7 +683,7 @@ class PartitionJob {
             const uint64_t gid = myRange_.nodeBegin + idx;
             const uint32_t part =
                 policy_.master.fn(prop_, gid, state_, lookup);
-            masterOfMine_[idx].store(part, std::memory_order_relaxed);
+            masterTable_[gid].store(part, std::memory_order_relaxed);
           },
           config_.threadsPerHost);
       // Ship assignments the other hosts requested for this chunk. Requests
@@ -690,8 +701,7 @@ class PartitionJob {
                windowIndex(wanted[cursor]) < end) {
           const uint64_t gid = wanted[cursor];
           gids.push_back(gid);
-          parts.push_back(masterOfMine_[windowIndex(gid)].load(
-              std::memory_order_relaxed));
+          parts.push_back(masterTable_[gid].load(std::memory_order_relaxed));
           ++cursor;
         }
         if (!gids.empty()) {
@@ -716,7 +726,7 @@ class PartitionJob {
     state_.finishExchanges(net_, me_);
   }
 
-  // Receives kTagMasterAssign messages into remoteMasters_. Non-blocking
+  // Receives kTagMasterAssign messages into the master table. Non-blocking
   // drains everything currently queued; blocking receives until `pending`
   // more assignments have arrived. Returns the number of assignments read.
   uint64_t drainMasterAssignments(bool blocking, uint64_t pending) {
@@ -725,9 +735,7 @@ class PartitionJob {
       std::vector<uint64_t> gids;
       std::vector<uint32_t> parts;
       support::deserializeAll(msg.payload, gids, parts);
-      for (size_t i = 0; i < gids.size(); ++i) {
-        remoteMasters_[gids[i]] = parts[i];
-      }
+      learnMasters(gids, parts, requested_);
       received += gids.size();
     };
     if (blocking) {
@@ -743,17 +751,103 @@ class PartitionJob {
     return received;
   }
 
+  // ---- master table ------------------------------------------------------
+
+  // Every entry unknown (kNoMaster), nothing learned from other hosts yet.
+  void resetMasterTable() {
+    masterTable_ = std::vector<std::atomic<uint32_t>>(prop_.getNumNodes());
+    for (auto& entry : masterTable_) {
+      entry.store(kNoMaster, std::memory_order_relaxed);
+    }
+    requested_.resize(prop_.getNumNodes());
+  }
+
+  // Pure rules: every host computes every node's master once (replicated
+  // computation instead of communication, paper IV-D5). Called at the start
+  // of edge assignment and after restoring a checkpoint taken past it, never
+  // in phase 2, which stays empty for pure rules.
+  void fillPureMasterTable() {
+    masterTable_ = std::vector<std::atomic<uint32_t>>(prop_.getNumNodes());
+    static const MasterLookup noLookup;
+    support::parallelFor(
+        0, masterTable_.size(),
+        [&](uint64_t gid) {
+          masterTable_[gid].store(
+              policy_.master.fn(prop_, gid, state_, noLookup),
+              std::memory_order_relaxed);
+        },
+        config_.threadsPerHost);
+  }
+
+  // Records a master learned from a message or a checkpoint and marks the
+  // node in `learned`. A known entry is kept: masters never change once
+  // assigned.
+  void learnMaster(uint64_t gid, uint32_t master, DynamicBitset& learned) {
+    if (gid >= masterTable_.size() || master >= numHosts()) {
+      badEntry("master " + std::to_string(master) + " of node " +
+               std::to_string(gid) + " out of range");
+    }
+    learned.set(gid);
+    auto& entry = masterTable_[gid];
+    if (entry.load(std::memory_order_relaxed) == kNoMaster) {
+      entry.store(master, std::memory_order_relaxed);
+    }
+  }
+
+  void learnMasters(const std::vector<uint64_t>& gids,
+                    const std::vector<uint32_t>& masters,
+                    DynamicBitset& learned) {
+    if (gids.size() != masters.size()) {
+      badEntry("message pairs " + std::to_string(gids.size()) + " nodes with " +
+               std::to_string(masters.size()) + " masters");
+    }
+    for (size_t i = 0; i < gids.size(); ++i) {
+      learnMaster(gids[i], masters[i], learned);
+    }
+  }
+
   // Master of any node this host legitimately queries: its own read nodes
-  // and the destinations of its read edges.
-  uint32_t masterOf(uint64_t gid) {
-    if (pureMasterPath()) {
-      static const MasterLookup noLookup;
-      return policy_.master.fn(prop_, gid, state_, noLookup);
+  // and the destinations of its read edges (every node, for pure rules).
+  uint32_t masterOf(uint64_t gid) const {
+    const uint32_t master = masterTable_[gid].load(std::memory_order_relaxed);
+    if (master == kNoMaster) {
+      badEntry("master of node " + std::to_string(gid) + " unknown");
     }
-    if (inMyRange(gid)) {
-      return masterOfMine_[windowIndex(gid)].load(std::memory_order_relaxed);
+    return master;
+  }
+
+  // ---- local-id table ------------------------------------------------------
+
+  // gid -> lid of every proxy on this host (kNoLocal elsewhere), built from
+  // result_.localToGlobal; rejects ids out of range and duplicate proxies.
+  void buildLocalIdTable() {
+    const std::vector<uint64_t>& l2g = result_.localToGlobal;
+    if (l2g.size() >= kNoLocal) {
+      badEntry("more than 2^32-1 proxies");
     }
-    return remoteMasters_.at(gid);
+    localIdTable_.assign(prop_.getNumNodes(), kNoLocal);
+    for (uint64_t lid = 0; lid < l2g.size(); ++lid) {
+      if (l2g[lid] >= localIdTable_.size() ||
+          localIdTable_[l2g[lid]] != kNoLocal) {
+        badEntry("proxy of node " + std::to_string(l2g[lid]) +
+                 " out of range or duplicated");
+      }
+      localIdTable_[l2g[lid]] = static_cast<uint32_t>(lid);
+    }
+  }
+
+  uint64_t localIdOf(uint64_t gid) const {
+    if (gid < localIdTable_.size() && localIdTable_[gid] != kNoLocal) {
+      return localIdTable_[gid];
+    }
+    badEntry("node " + std::to_string(gid) + " has no proxy");
+  }
+
+  // Malformed input from a message or checkpoint, or a lookup of a node
+  // this host holds no table entry for.
+  [[noreturn]] void badEntry(const std::string& what) const {
+    throw std::out_of_range("partitioner: " + what + " on host " +
+                            std::to_string(me_));
   }
 
   // ---- streaming-window support (ADWISE class, paper II-B2) -------------
@@ -810,6 +904,9 @@ class PartitionJob {
   // ---- phase 3: edge assignment (paper Algorithm 3) ----------------------
 
   void phaseEdgeAssignment() {
+    if (pureMasterPath()) {
+      fillPureMasterTable();
+    }
     const uint32_t k = numHosts();
     outCounts_.assign(k, std::vector<uint64_t>(myNumNodes(), 0));
     std::vector<DynamicBitset> mirrorFlags(k);
@@ -897,16 +994,11 @@ class PartitionJob {
       writer.commit();
     }
     net_.flushAggregated(me_);  // blocking on every peer's counts next
-    // Local contribution (host == me) is absorbed directly.
+    // Local contribution (host == me) is absorbed directly; the masters of
+    // my own flags are already in the table.
     countsFrom_.assign(k, {});
     countsFrom_[me_] = outCounts_[me_];
-    {
-      std::vector<uint64_t> gids;
-      mirrorFlags[me_].collectSetBits(gids);
-      for (uint64_t gid : gids) {
-        mirrorMasterHost_[gid] = masterOf(gid);
-      }
-    }
+    mirrors_ = std::move(mirrorFlags[me_]);
     for (HostId h = 0; h < k; ++h) {
       if (h == me_) {
         continue;
@@ -917,9 +1009,7 @@ class PartitionJob {
       std::vector<uint64_t> gids;
       std::vector<uint32_t> masters;
       support::deserializeAll(mirrorMsg.payload, gids, masters);
-      for (size_t i = 0; i < gids.size(); ++i) {
-        mirrorMasterHost_[gids[i]] = masters[i];
-      }
+      learnMasters(gids, masters, mirrors_);
     }
 
     // Master lists: which global nodes is this host the master of? For pure
@@ -933,9 +1023,8 @@ class PartitionJob {
       }
     } else {
       std::vector<std::vector<uint64_t>> listFor(k);
-      for (uint64_t idx = 0; idx < myNumNodes(); ++idx) {
-        listFor[masterOfMine_[idx].load(std::memory_order_relaxed)].push_back(
-            myRange_.nodeBegin + idx);
+      for (uint64_t gid = myRange_.nodeBegin; gid < myRange_.nodeEnd; ++gid) {
+        listFor[masterOf(gid)].push_back(gid);
       }
       for (HostId h = 0; h < k; ++h) {
         if (h == me_) {
@@ -969,30 +1058,23 @@ class PartitionJob {
     result_.numGlobalNodes = prop_.getNumNodes();
     result_.numGlobalEdges = prop_.getNumEdges();
 
-    // Local id space: masters (sorted), then mirrors (sorted). A node in
-    // mirrorMasterHost_ whose master is this host is already in the master
-    // list, not a mirror.
-    std::vector<uint64_t> mirrors;
-    mirrors.reserve(mirrorMasterHost_.size());
-    for (const auto& [gid, owner] : mirrorMasterHost_) {
-      if (owner != me_) {
-        mirrors.push_back(gid);
-      }
-    }
-    std::sort(mirrors.begin(), mirrors.end());
+    // Local id space: masters (sorted), then mirrors (sorted — the flag
+    // bitset yields ascending ids). A flagged node whose master is this
+    // host is already in the master list, not a mirror.
+    std::vector<uint64_t> flagged;
+    mirrors_.collectSetBits(flagged);
     result_.numMasters = myMasterNodes_.size();
     result_.localToGlobal = myMasterNodes_;
-    result_.localToGlobal.insert(result_.localToGlobal.end(), mirrors.begin(),
-                                 mirrors.end());
-    result_.globalToLocal.reserve(result_.localToGlobal.size());
-    for (uint64_t lid = 0; lid < result_.localToGlobal.size(); ++lid) {
-      result_.globalToLocal.emplace(result_.localToGlobal[lid], lid);
+    for (uint64_t gid : flagged) {
+      if (masterOf(gid) != me_) {
+        result_.localToGlobal.push_back(gid);
+      }
     }
+    buildLocalIdTable();
     result_.masterHostOfLocal.assign(result_.localToGlobal.size(), me_);
     for (uint64_t lid = result_.numMasters;
          lid < result_.localToGlobal.size(); ++lid) {
-      result_.masterHostOfLocal[lid] =
-          mirrorMasterHost_.at(result_.localToGlobal[lid]);
+      result_.masterHostOfLocal[lid] = masterOf(result_.localToGlobal[lid]);
     }
 
     // Per-local-node out-edge counts from the received positional vectors;
@@ -1002,12 +1084,16 @@ class PartitionJob {
     expectedRemoteEdges_ = 0;
     for (HostId h = 0; h < k; ++h) {
       const auto& counts = countsFrom_[h];
+      if (counts.size() > ranges_[h].numNodes()) {
+        badEntry("edge counts from host " + std::to_string(h) +
+                 " beyond its read range");
+      }
       for (size_t idx = 0; idx < counts.size(); ++idx) {
         if (counts[idx] == 0) {
           continue;
         }
         const uint64_t gid = ranges_[h].nodeBegin + idx;
-        localOutCount[result_.globalToLocal.at(gid)] += counts[idx];
+        localOutCount[localIdOf(gid)] += counts[idx];
         if (h != me_) {
           expectedRemoteEdges_ += counts[idx];
         }
@@ -1058,7 +1144,7 @@ class PartitionJob {
       auto& lids = result_.mirrorsOnHost[h];
       lids.reserve(gids.size());
       for (uint64_t gid : gids) {
-        lids.push_back(result_.globalToLocal.at(gid));
+        lids.push_back(localIdOf(gid));
       }
     }
 
@@ -1078,12 +1164,12 @@ class PartitionJob {
     std::thread receiver([&] {
       try {
         uint64_t received = 0;
+        uint64_t srcGid = 0;
+        std::vector<uint64_t> dsts;  // reused across records
+        std::vector<uint32_t> weights;
         while (received < expectedRemoteEdges_) {
           auto msg = net_.recv(me_, comm::kTagEdgeBatch);
           while (!msg.payload.exhausted()) {
-            uint64_t srcGid = 0;
-            std::vector<uint64_t> dsts;
-            std::vector<uint32_t> weights;
             support::deserialize(msg.payload, srcGid);
             if (config_.compressEdgeBatches) {
               const auto block =
@@ -1262,11 +1348,16 @@ class PartitionJob {
 
   void insertEdges(uint64_t srcGid, const std::vector<uint64_t>& dsts,
                    const std::vector<uint32_t>& weights) {
-    const uint64_t srcLid = result_.globalToLocal.at(srcGid);
+    const uint64_t srcLid = localIdOf(srcGid);
     const uint64_t base = insertCursor_[srcLid].fetch_add(
         dsts.size(), std::memory_order_relaxed);
+    if (base + dsts.size() > localRowStart_[srcLid + 1] ||
+        (!weights.empty() && weights.size() != dsts.size())) {
+      badEntry("malformed or overflowing edge record of node " +
+               std::to_string(srcGid));
+    }
     for (size_t i = 0; i < dsts.size(); ++i) {
-      localDests_[base + i] = result_.globalToLocal.at(dsts[i]);
+      localDests_[base + i] = localIdOf(dsts[i]);
       if (!weights.empty()) {
         localEdgeData_[base + i] = weights[i];
       }
@@ -1368,15 +1459,21 @@ class PartitionJob {
 
   // --- master assignment ---
   PartitionState state_;
-  std::vector<std::atomic<uint32_t>> masterOfMine_;  // stateful rules only
-  std::unordered_map<uint64_t, uint32_t> remoteMasters_;
+  // Master of each global node as far as this host knows it (kNoMaster =
+  // unknown): every node for pure rules; for stateful rules the read
+  // nodes, the assignments requested in phase 2 and the masters of the
+  // mirrors flagged here. Relaxed atomics: phase-2 threads write their read
+  // nodes' entries while master rules read their neighbours'.
+  std::vector<std::atomic<uint32_t>> masterTable_;
+  DynamicBitset requested_;  // stateful: entries received in phase 2
 
   // --- edge assignment / allocation ---
   std::vector<std::vector<uint64_t>> outCounts_;   // [host][window index]
   std::vector<std::vector<uint64_t>> countsFrom_;  // [host][their index]
-  std::unordered_map<uint64_t, uint32_t> mirrorMasterHost_;
+  DynamicBitset mirrors_;  // nodes flagged for a proxy on this host
   std::vector<uint64_t> myMasterNodes_;
   uint64_t expectedRemoteEdges_ = 0;
+  std::vector<uint32_t> localIdTable_;  // gid -> lid; kNoLocal = no proxy
 
   // --- construction ---
   // The local CSR edge arrays are the partition being built — they must be

@@ -10,8 +10,8 @@
 //                           edge counts (positional vectors, IV-D2) and
 //                           createMirror flags exchanged.
 //   4. Graph allocation   — local CSR memory allocated up front from the
-//                           received counts; global->local maps built;
-//                           partitioning state reset.
+//                           received counts; dense global->local id table
+//                           built; partitioning state reset.
 //   5. Graph construction — edges re-streamed and shipped in large buffered
 //                           messages (IV-D3) to their owners, inserted in
 //                           parallel with atomic per-row cursors while a

@@ -7,7 +7,7 @@
 #
 # Usage: tests/run_sanitized.sh [asan-ubsan|tsan|ubsan|tsan-degraded|
 # tsan-chaos|tsan-obs|tsan-storage|tsan-splitbrain|asan-memory|
-# tsan-service|tsan-commbuf]
+# tsan-service|tsan-commbuf|asan-core]
 # (default: both full suites).
 # `tsan-degraded` builds
 # the TSan preset but runs only the tests labeled `degraded` (eviction,
@@ -39,7 +39,11 @@
 # channel mutex while blocked receivers age-pull and flush them, and the
 # cached mailbox-backlog counter is bumped from every enqueue/dedup/evict
 # path — exactly the lock-ordering and atomic discipline a differential
-# buffered-vs-legacy battery exercises hardest. `ubsan` is a standalone
+# buffered-vs-legacy battery exercises hardest. `asan-core` runs the `core`
+# label (test_partitioner + test_dist_graph) under ASan+UBSan: the preset
+# also defines _GLIBCXX_ASSERTIONS, so every operator[] on the
+# partitioner's dense per-node master and local-id tables is
+# bounds-checked. `ubsan` is a standalone
 # UBSan build for when an ASan report needs to be separated from a UB
 # report.
 set -euo pipefail
@@ -79,6 +83,9 @@ for preset in "${presets[@]}"; do
   elif [ "$preset" = "tsan-commbuf" ]; then
     build_preset="tsan"
     label_args=(-L commbuf)
+  elif [ "$preset" = "asan-core" ]; then
+    build_preset="asan-ubsan"
+    label_args=(-L '^core$')
   fi
   echo "==== [$preset] configure ===="
   cmake --preset "$build_preset"

@@ -271,7 +271,6 @@ std::vector<DistGraph> twoHostsOneSharedVertexEach() {
     part.numGlobalEdges = 0;
     part.numMasters = 1;
     part.localToGlobal = {h, 1 - h};  // local 0 = my master, local 1 = mirror
-    part.globalToLocal = {{h, 0}, {1 - h, 1}};
     part.masterHostOfLocal = {h, 1 - h};
     part.graph = graph::CsrGraph({0, 0, 0}, {});
     part.mirrorsOnHost.assign(2, {});

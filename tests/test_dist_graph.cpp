@@ -38,6 +38,49 @@ TEST(DistGraphTest, LocalGlobalMapping) {
   }
 }
 
+// localIdOf binary-searches the master half, then the mirror half.
+DistGraph handBuilt(uint64_t numMasters, std::vector<uint64_t> localToGlobal) {
+  DistGraph part;
+  part.numGlobalNodes = 64;
+  part.numMasters = numMasters;
+  part.localToGlobal = std::move(localToGlobal);
+  return part;
+}
+
+TEST(DistGraphTest, LocalIdOfWithoutMasters) {
+  const DistGraph part = handBuilt(0, {2, 5, 9});
+  EXPECT_EQ(part.localIdOf(2), 0u);
+  EXPECT_EQ(part.localIdOf(5), 1u);
+  EXPECT_EQ(part.localIdOf(9), 2u);
+  EXPECT_FALSE(part.localIdOf(3).has_value());
+}
+
+TEST(DistGraphTest, LocalIdOfWithoutMirrors) {
+  const DistGraph part = handBuilt(3, {1, 4, 7});
+  EXPECT_EQ(part.localIdOf(1), 0u);
+  EXPECT_EQ(part.localIdOf(7), 2u);
+  EXPECT_FALSE(part.localIdOf(8).has_value());
+}
+
+TEST(DistGraphTest, LocalIdOfSearchesBothHalves) {
+  // Mirrors 15 and 3 sort between and below the masters.
+  const DistGraph part = handBuilt(2, {10, 20, 3, 15, 40});
+  EXPECT_EQ(part.localIdOf(10), 0u);
+  EXPECT_EQ(part.localIdOf(20), 1u);
+  EXPECT_EQ(part.localIdOf(3), 2u);
+  EXPECT_EQ(part.localIdOf(15), 3u);
+  EXPECT_EQ(part.localIdOf(40), 4u);
+  EXPECT_FALSE(part.localIdOf(12).has_value());  // between the masters
+}
+
+TEST(DistGraphTest, LocalIdOfAbsentIds) {
+  const DistGraph part = handBuilt(2, {10, 20, 3, 15, 40});
+  for (uint64_t gid : {0u, 4u, 21u, 41u, 63u, 1000u}) {
+    EXPECT_FALSE(part.localIdOf(gid).has_value()) << gid;
+  }
+  EXPECT_FALSE(DistGraph{}.localIdOf(0).has_value());
+}
+
 TEST(DistGraphTest, EdgesWithGlobalIdsMatchesInput) {
   const auto g = graph::generateErdosRenyi(150, 900, 37);
   const auto parts = makeParts(g, "HVC", 3);
@@ -166,6 +209,29 @@ TEST_F(DistGraphFiles, ChecksumCatchesSilentPayloadCorruption) {
     EXPECT_NE(std::string(e.what()).find("checksum"), std::string::npos)
         << e.what();
   }
+}
+
+TEST_F(DistGraphFiles, RejectsUnsortedOrOutOfRangeLocalIds) {
+  // Files written with a valid CRC footer but a broken localToGlobal
+  // layout: localIdOf's binary search depends on the layout, so loading
+  // must refuse them.
+  const auto g = graph::generateErdosRenyi(100, 500, 73);
+  const auto parts = makeParts(g, "HVC", 2);
+  DistGraph swapped = parts[0];
+  ASSERT_GE(swapped.numMirrors(), 2u);
+  std::swap(swapped.localToGlobal[swapped.numMasters],
+            swapped.localToGlobal[swapped.numMasters + 1]);
+  saveDistGraph(path("swapped.cdg"), swapped);
+  EXPECT_THROW(loadDistGraph(path("swapped.cdg")), std::runtime_error);
+
+  DistGraph outOfRange = parts[0];
+  outOfRange.localToGlobal.back() = g.numNodes();
+  saveDistGraph(path("range.cdg"), outOfRange);
+  EXPECT_THROW(loadDistGraph(path("range.cdg")), std::runtime_error);
+
+  saveDistGraph(path("ok.cdg"), parts[0]);
+  EXPECT_EQ(loadDistGraph(path("ok.cdg")).localToGlobal,
+            parts[0].localToGlobal);
 }
 
 TEST_F(DistGraphFiles, LegacyFileWithoutFooterStillLoads) {

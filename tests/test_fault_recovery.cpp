@@ -135,6 +135,58 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<2>(info.param));
     });
 
+// Stateful (FennelEB) policies: their master assignment depends on message
+// timing, so a recovered run is checked for validity against the input
+// instead of byte-compared. Crashing at the entry of phases 3-5 resumes
+// from the master, edge and allocation checkpoint sections respectively.
+using StatefulCrashParam = std::tuple<uint32_t, std::string>;
+
+class StatefulCrashRecoverySweep
+    : public ::testing::TestWithParam<StatefulCrashParam> {};
+
+TEST_P(StatefulCrashRecoverySweep, RecoveredPartitionIsValid) {
+  const auto& [crashPhase, policyName] = GetParam();
+  const graph::CsrGraph g = graph::generateErdosRenyi(300, 1200, 17);
+  const graph::GraphFile file = graph::GraphFile::fromCsr(g);
+
+  TempDir dir;
+  PartitionerConfig config;
+  config.numHosts = 4;
+  auto plan = std::make_shared<comm::FaultPlan>();
+  plan->crashes.push_back(
+      {/*host=*/1, /*phase=*/crashPhase, /*opsIntoPhase=*/0});
+  config.resilience.faultPlan = plan;
+  config.resilience.checkpointDir = dir.path();
+  config.resilience.enableCheckpoints = true;
+  config.resilience.recvTimeoutSeconds = 20.0;
+
+  RecoveryReport report;
+  const PartitionResult recovered = core::partitionGraphResilient(
+      file, core::makePolicy(policyName), config, &report);
+
+  EXPECT_NO_THROW(core::validatePartitions(g, recovered.partitions));
+  EXPECT_EQ(report.attempts, 2u);
+  EXPECT_EQ(report.resumedFromPhase, crashPhase - 1);
+}
+
+std::vector<StatefulCrashParam> statefulCrashParams() {
+  std::vector<StatefulCrashParam> params;
+  for (uint32_t phase = 2; phase <= 5; ++phase) {
+    for (const char* policy : {"FEC", "GVC", "SVC"}) {
+      params.emplace_back(phase, policy);
+    }
+  }
+  return params;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PhasesStatefulPolicies, StatefulCrashRecoverySweep,
+    ::testing::ValuesIn(statefulCrashParams()),
+    [](const ::testing::TestParamInfo<StatefulCrashParam>& info) {
+      return "p" + std::to_string(std::get<0>(info.param)) + "_" +
+             std::get<1>(info.param) + "_h4";
+    });
+
 // ---------------------------------------------------------------------------
 // Recovery variants.
 // ---------------------------------------------------------------------------

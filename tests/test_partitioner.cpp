@@ -557,6 +557,58 @@ TEST(Partitioner, PurePoliciesDeterministicAcrossRuns) {
   }
 }
 
+// Golden fingerprints: FNV-1a over the serializeDistGraph bytes of every
+// host's partition, for the pure policies on two seeded stand-ins (the
+// second with permuted ids and edge weights) at 2/4/8 hosts. The constants
+// were recorded from the hash-map implementation of the partitioner's
+// per-edge lookups, so any rewrite of those internals is checked against
+// the older code's output instead of against itself.
+uint64_t serializedFingerprint(const std::vector<DistGraph>& partitions) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (const DistGraph& part : partitions) {
+    support::SendBuffer buf;
+    core::serializeDistGraph(buf, part);
+    for (size_t i = 0; i < buf.size(); ++i) {
+      h = (h ^ buf.data()[i]) * 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+TEST(Partitioner, GoldenFingerprintsOfPurePolicies) {
+  const graph::CsrGraph kron = graph::makeStandIn("kron", 24'000, 3);
+  const graph::CsrGraph crawl = graph::withRandomWeights(
+      graph::permuteNodeIds(graph::makeStandIn("clueweb", 24'000, 4), 5), 100,
+      6);
+  struct Golden {
+    const char* policy;
+    uint32_t hosts;
+    uint64_t kron;
+    uint64_t crawl;
+  };
+  const Golden goldens[] = {
+      {"EEC", 2, 0x0dd0069d8cde09a3ULL, 0x132390484fc06313ULL},
+      {"EEC", 4, 0xeed5c7d515320d9dULL, 0x6ac1c21882b258d5ULL},
+      {"EEC", 8, 0x3b0559420f29933bULL, 0xee8c41d88c3387d2ULL},
+      {"HVC", 2, 0x4de4e428904dd13cULL, 0x132390484fc06313ULL},
+      {"HVC", 4, 0xdb45f8aab4bc54bcULL, 0x6ac1c21882b258d5ULL},
+      {"HVC", 8, 0x7586401f8fbb3037ULL, 0xee8c41d88c3387d2ULL},
+      {"CVC", 2, 0x0dd0069d8cde09a3ULL, 0x132390484fc06313ULL},
+      {"CVC", 4, 0xa0994107fae7df61ULL, 0x7bbc9dcb785ea463ULL},
+      {"CVC", 8, 0x602b33789a13ceffULL, 0x75eea943b7f38103ULL},
+  };
+  for (const Golden& golden : goldens) {
+    const uint64_t kronPrint = serializedFingerprint(
+        partition(kron, golden.policy, golden.hosts).partitions);
+    const uint64_t crawlPrint = serializedFingerprint(
+        partition(crawl, golden.policy, golden.hosts).partitions);
+    EXPECT_EQ(kronPrint, golden.kron)
+        << golden.policy << " kron h" << golden.hosts;
+    EXPECT_EQ(crawlPrint, golden.crawl)
+        << golden.policy << " permuted crawl h" << golden.hosts;
+  }
+}
+
 TEST(Partitioner, ThreadedHostsMatchSingleThreadedForPureRules) {
   const graph::CsrGraph g = graph::generateErdosRenyi(300, 2000, 37);
   PartitionerConfig config;
