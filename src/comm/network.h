@@ -90,7 +90,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <cstring>
 #include <deque>
 #include <functional>
 #include <map>
@@ -776,9 +775,8 @@ class PackedWriter {
       if (len == 0) {
         return;
       }
-      const size_t offset = channel_->bytes.size();
-      channel_->bytes.resize(offset + len);
-      std::memcpy(channel_->bytes.data() + offset, src, len);
+      const auto* bytes = static_cast<const uint8_t*>(src);
+      channel_->bytes.insert(channel_->bytes.end(), bytes, bytes + len);
     } else {
       fallback_.appendBytes(src, len);
     }

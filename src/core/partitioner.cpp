@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
+#include <deque>
 #include <optional>
 #include <stdexcept>
 #include <thread>
@@ -67,10 +69,14 @@ class PartitionJob {
     }
   }
 
+  PartitionJob(const PartitionJob&) = delete;
+  PartitionJob& operator=(const PartitionJob&) = delete;
+
   ~PartitionJob() {
     if (budget_ && windowChargeBytes_ > 0) {
       budget_->release(windowChargeBytes_);
     }
+    removeSpillSegments();
   }
 
   DistGraph run() {
@@ -400,14 +406,27 @@ class PartitionJob {
     return gid >= myRange_.nodeBegin && gid < myRange_.nodeEnd;
   }
 
-  // Out-edges of a read node, as offsets into the window arrays.
-  std::pair<uint64_t, uint64_t> windowEdges(uint64_t gid) const {
-    const uint64_t idx = windowIndex(gid);
-    return {winRowStart_[idx] - myRange_.edgeBegin,
-            winRowStart_[idx + 1] - myRange_.edgeBegin};
-  }
-
   // ---- phase 1: graph reading -------------------------------------------
+
+  // One node-aligned chunk of the read window: node bounds are
+  // window-relative, edge bounds are GLOBAL file offsets (winRowStart_'s
+  // values). Resident mode has one chunk covering the window.
+  struct Chunk {
+    uint64_t nodeBegin = 0, nodeEnd = 0;
+    uint64_t edgeBegin = 0, edgeEnd = 0;
+    uint64_t numEdges() const { return edgeEnd - edgeBegin; }
+  };
+
+  // A chunk's edges, chunk-relative: views into a resident graph file, or
+  // into the EdgeBuffers they were read or restored into.
+  struct ChunkEdges {
+    std::span<const uint64_t> dests;
+    std::span<const uint32_t> weights;  // empty without edge data
+  };
+  struct EdgeBuffers {
+    std::vector<uint64_t> dests;
+    std::vector<uint32_t> weights;
+  };
 
   void phaseGraphReading() {
     const bool defaultSplit =
@@ -422,18 +441,14 @@ class PartitionJob {
     // random row lookups, and at (numNodes+1)*8 bytes it is the small part
     // of the window. Overdraft — a budget too small for the offsets alone
     // is not recoverable by streaming.
-    const auto rowStart = file_.rowStarts();
-    winRowStart_.assign(rowStart.begin() + myRange_.nodeBegin,
-                        rowStart.begin() + myRange_.nodeEnd + 1);
+    winRowStart_ =
+        file_.rowStarts().subspan(myRange_.nodeBegin, myNumNodes() + 1);
     const uint64_t rowBytes = winRowStart_.size() * sizeof(uint64_t);
     if (budget_) {
       budget_->reserveOverdraft(rowBytes);
       windowChargeBytes_ += rowBytes;
     }
-    const bool withData = file_.hasEdgeData();
-    const uint64_t destBytes =
-        myRange_.numEdges() * sizeof(uint64_t) +
-        (withData ? myRange_.numEdges() * sizeof(uint32_t) : 0);
+    const uint64_t destBytes = edgeBytes(myRange_.numEdges());
 
     // Window residency: ADWISE-class windowed policies score edges at
     // random window offsets and must stay resident (charged as overdraft);
@@ -462,15 +477,13 @@ class PartitionJob {
     }
 
     if (!streamingWindows_) {
-      // Load this host's window from the "disk" into memory (paper IV-B1:
-      // later phases read from memory, not disk). Window reads go through
-      // the bounded-read seam, so resident and windowed GraphFiles take
-      // the same path.
-      winDests_ = file_.readDestWindow(myRange_.edgeBegin, myRange_.edgeEnd);
-      if (withData) {
-        winEdgeData_ =
-            file_.readEdgeDataWindow(myRange_.edgeBegin, myRange_.edgeEnd);
-      }
+      // Resident mode is the one-chunk case: the whole window, read once
+      // here and from memory afterwards (paper IV-B1). Its edges are views
+      // into a resident file, or this host's own copy of a windowed one;
+      // the budget and disk charges model the host's own copy either way.
+      chunks_.assign(
+          1, Chunk{0, myNumNodes(), myRange_.edgeBegin, myRange_.edgeEnd});
+      residentEdges_ = fetchChunk(0, residentBuffers_);
       simulateDiskRead(rowBytes + destBytes);
       return;
     }
@@ -484,30 +497,27 @@ class PartitionJob {
       // seam; later passes restore from the spill store instead of
       // re-reading the raw file.
       ensureStoreDirs(config_.spillDir);
+      EdgeBuffers buffers;
       for (size_t c = 0; c < chunks_.size(); ++c) {
-        const Chunk& chunk = chunks_[c];
-        const std::vector<uint64_t> dests =
-            file_.readDestWindow(chunk.edgeBegin, chunk.edgeEnd);
-        std::vector<uint32_t> weights;
-        if (withData) {
-          weights =
-              file_.readEdgeDataWindow(chunk.edgeBegin, chunk.edgeEnd);
-        }
-        simulateDiskRead((chunk.edgeEnd - chunk.edgeBegin) *
-                         (sizeof(uint64_t) +
-                          (withData ? sizeof(uint32_t) : 0)));
-        support::spillEdgeSegment(spillChunkPath(c), dests.data(),
-                                  dests.size(),
-                                  withData ? weights.data() : nullptr);
+        const ChunkEdges edges = fetchChunk(c, buffers);
+        simulateDiskRead(edgeBytes(chunks_[c].numEdges()));
+        support::spillEdgeSegment(
+            spillChunkPath(c), edges.dests.data(), edges.dests.size(),
+            edges.weights.empty() ? nullptr : edges.weights.data());
       }
       spilled_ = true;
     }
   }
 
+  // Bytes of `numEdges` edges on disk and in memory: destinations plus
+  // edge data.
+  uint64_t edgeBytes(uint64_t numEdges) const {
+    return numEdges * (sizeof(uint64_t) +
+                       (file_.hasEdgeData() ? sizeof(uint32_t) : 0));
+  }
+
   // Node-aligned streaming chunks of up to streamChunkEdges edges each; a
-  // node whose degree exceeds the target gets a chunk of its own. Chunk
-  // node bounds are window-relative, edge bounds are GLOBAL file offsets
-  // (matching winRowStart_'s values).
+  // node whose degree exceeds the target gets a chunk of its own.
   void buildChunks() {
     chunks_.clear();
     const uint64_t targetEdges =
@@ -533,47 +543,68 @@ class PartitionJob {
            ".spill";
   }
 
-  // Sequentially visits every streaming chunk: charges the chunk's bytes
-  // against the budget as spillable transient state (the chunk buffer IS
-  // the mechanism of staying under budget, so the cap never refuses it —
-  // but injected kAllocFail faults throw MemoryPressure here, the chaos
-  // ladder's per-chunk seam), fetches the chunk from the spill store or
-  // the graph file, and releases the charge afterwards.
-  // fn(chunk, dests, weights) gets chunk-relative arrays.
+  // Deletes this host's spill segments when the job ends, normally or by
+  // exception. Nothing reads them again: a later attempt re-runs phase 1,
+  // which rewrites its own. Best effort, and never throws (destructor).
+  void removeSpillSegments() noexcept {
+    if (!streamingWindows_ || config_.spillDir.empty()) {
+      return;
+    }
+    try {
+      for (size_t c = 0; c < chunks_.size(); ++c) {
+        std::remove(spillChunkPath(c).c_str());
+      }
+    } catch (...) {
+      CUSP_LOG_WARN() << "partitioner: spill segments of host " << me_
+                      << " left in " << config_.spillDir;
+    }
+  }
+
+  // Chunk c's edges: restored from the spill store once phase 1 has spilled
+  // them, else a GraphFile view (read into `buffers` from a windowed file).
+  ChunkEdges fetchChunk(size_t c, EdgeBuffers& buffers) const {
+    const Chunk& chunk = chunks_[c];
+    if (spilled_) {
+      auto segment = support::restoreEdgeSegment(spillChunkPath(c));
+      if (!segment) {
+        throw support::StorageError(support::StorageError::Kind::kReadFailed,
+                                    spillChunkPath(c),
+                                    "spilled edge segment vanished");
+      }
+      buffers.dests = std::move(segment->dests);
+      buffers.weights = std::move(segment->weights);
+      return {buffers.dests, buffers.weights};
+    }
+    return {file_.destWindow(chunk.edgeBegin, chunk.edgeEnd, buffers.dests),
+            file_.edgeDataWindow(chunk.edgeBegin, chunk.edgeEnd,
+                                 buffers.weights)};
+  }
+
+  // Visits the window chunk by chunk in ascending node order; fn(chunk,
+  // edges) gets chunk-relative edge arrays. The resident window is one
+  // chunk, fetched and charged once by phase 1. A streaming chunk is
+  // fetched on every pass: its bytes are charged against the budget as
+  // spillable transient state (the chunk buffer IS the mechanism of staying
+  // under budget, so the cap never refuses it — but injected kAllocFail
+  // faults throw MemoryPressure here, the chaos ladder's per-chunk seam)
+  // and to the modeled disk, and the budget charge is released afterwards.
   template <typename Fn>
   void forEachChunk(Fn&& fn) {
-    const bool withData = file_.hasEdgeData();
-    const std::string context =
-        "partition.chunk.h" + std::to_string(me_);
+    if (!streamingWindows_) {
+      fn(chunks_.front(), residentEdges_);
+      return;
+    }
+    const std::string context = "partition.chunk.h" + std::to_string(me_);
+    EdgeBuffers buffers;
     for (size_t c = 0; c < chunks_.size(); ++c) {
-      const Chunk& chunk = chunks_[c];
-      const uint64_t bytes =
-          (chunk.edgeEnd - chunk.edgeBegin) *
-          (sizeof(uint64_t) + (withData ? sizeof(uint32_t) : 0));
+      const uint64_t bytes = edgeBytes(chunks_[c].numEdges());
       if (budget_) {
         budget_->reserveSpillable(bytes, context);  // may throw (injected)
       }
       try {
-        std::vector<uint64_t> dests;
-        std::vector<uint32_t> weights;
-        if (spilled_) {
-          auto segment = support::restoreEdgeSegment(spillChunkPath(c));
-          if (!segment) {
-            throw support::StorageError(
-                support::StorageError::Kind::kReadFailed, spillChunkPath(c),
-                "spilled edge segment vanished");
-          }
-          dests = std::move(segment->dests);
-          weights = std::move(segment->weights);
-        } else {
-          dests = file_.readDestWindow(chunk.edgeBegin, chunk.edgeEnd);
-          if (withData) {
-            weights =
-                file_.readEdgeDataWindow(chunk.edgeBegin, chunk.edgeEnd);
-          }
-        }
+        const ChunkEdges edges = fetchChunk(c, buffers);
         simulateDiskRead(bytes);
-        fn(chunk, dests, weights);
+        fn(chunks_[c], edges);
       } catch (...) {
         if (budget_) {
           budget_->release(bytes);
@@ -588,13 +619,23 @@ class PartitionJob {
 
   // Disk time is modeled, not slept: it is added to this host's reading
   // phase account (hosts read their windows concurrently, as on a parallel
-  // filesystem, so per-host time is the right unit).
+  // filesystem, so per-host time is the right unit). The bytes are counted
+  // whether or not a bandwidth is set.
   void simulateDiskRead(uint64_t bytes) {
+    if (metrics_) {
+      metrics_->counter("cusp.partitioner.read_bytes").add(bytes);
+    }
     if (config_.simulatedDiskBandwidthMBps <= 0.0) {
       return;
     }
     modeledDiskSeconds_ += static_cast<double>(bytes) /
                            (config_.simulatedDiskBandwidthMBps * 1e6);
+  }
+
+  // Stateful edge rules run on one thread, so their state evolves in node
+  // order; pure ones use every thread of the host.
+  unsigned edgeThreads() const {
+    return policy_.edge.usesState ? 1 : config_.threadsPerHost;
   }
 
   // ---- phase 2: master assignment ---------------------------------------
@@ -614,23 +655,13 @@ class PartitionJob {
     std::vector<std::vector<uint64_t>> requestsTo(numHosts());
     {
       DynamicBitset needed(prop_.getNumNodes());
-      auto noteDest = [&](uint64_t d) {
-        if (!inMyRange(d)) {
-          needed.set(d);
-        }
-      };
-      if (streamingWindows_) {
-        forEachChunk([&](const Chunk&, const std::vector<uint64_t>& dests,
-                         const std::vector<uint32_t>&) {
-          for (uint64_t d : dests) {
-            noteDest(d);
+      forEachChunk([&](const Chunk&, const ChunkEdges& edges) {
+        for (uint64_t d : edges.dests) {
+          if (!inMyRange(d)) {
+            needed.set(d);
           }
-        });
-      } else {
-        for (uint64_t d : winDests_) {
-          noteDest(d);
         }
-      }
+      });
       std::vector<uint64_t> neededIds;
       needed.collectSetBits(neededIds);
       for (uint64_t gid : neededIds) {
@@ -886,8 +917,10 @@ class PartitionJob {
       size_t bestSlot = 0;
       double bestScore = -1e300;
       for (size_t i = 0; i < window.size(); ++i) {
-        const double score = policy_.edge.windowScore(
-            prop_, window[i].srcGid, winDests_[window[i].edgeOffset], state_);
+        const double score =
+            policy_.edge.windowScore(prop_, window[i].srcGid,
+                                     residentEdges_.dests[window[i].edgeOffset],
+                                     state_);
         if (score > bestScore) {
           bestScore = score;
           bestSlot = i;
@@ -927,37 +960,26 @@ class PartitionJob {
       }
     };
     if (windowedMode()) {
-      forEachEdgeWindowed(
-          [&](uint64_t s, uint64_t e) { recordEdge(s, winDests_[e]); });
-    } else if (streamingWindows_) {
-      // Sequential chunk walk in ascending node order — the same edge
-      // visit order as the single-threaded resident path, so stateful
-      // policies evolve identically and outputs stay bit-identical.
-      forEachChunk([&](const Chunk& chunk,
-                       const std::vector<uint64_t>& dests,
-                       const std::vector<uint32_t>&) {
-        for (uint64_t idx = chunk.nodeBegin; idx < chunk.nodeEnd; ++idx) {
-          const uint64_t s = myRange_.nodeBegin + idx;
-          const uint64_t eBegin = winRowStart_[idx] - chunk.edgeBegin;
-          const uint64_t eEnd = winRowStart_[idx + 1] - chunk.edgeBegin;
-          for (uint64_t e = eBegin; e < eEnd; ++e) {
-            recordEdge(s, dests[e]);
-          }
-        }
+      forEachEdgeWindowed([&](uint64_t s, uint64_t e) {
+        recordEdge(s, residentEdges_.dests[e]);
       });
     } else {
-      const unsigned threads =
-          policy_.edge.usesState ? 1 : config_.threadsPerHost;
-      support::parallelFor(
-          0, myNumNodes(),
-          [&](uint64_t idx) {
-            const uint64_t s = myRange_.nodeBegin + idx;
-            const auto [eBegin, eEnd] = windowEdges(s);
-            for (uint64_t e = eBegin; e < eEnd; ++e) {
-              recordEdge(s, winDests_[e]);
-            }
-          },
-          threads);
+      // Chunks in ascending node order; a stateful rule's single thread
+      // visits the edges in the same order at any chunk size, so its state
+      // evolves identically.
+      forEachChunk([&](const Chunk& chunk, const ChunkEdges& edges) {
+        support::parallelFor(
+            chunk.nodeBegin, chunk.nodeEnd,
+            [&](uint64_t idx) {
+              const uint64_t s = myRange_.nodeBegin + idx;
+              const uint64_t eBegin = winRowStart_[idx] - chunk.edgeBegin;
+              const uint64_t eEnd = winRowStart_[idx + 1] - chunk.edgeBegin;
+              for (uint64_t e = eBegin; e < eEnd; ++e) {
+                recordEdge(s, edges.dests[e]);
+              }
+            },
+            edgeThreads());
+      });
     }
     if (policy_.edge.usesState) {
       state_.synchronize(net_, me_);
@@ -1219,6 +1241,18 @@ class PartitionJob {
     }
   }
 
+  // One construction thread's buffered sender and per-owner grouping
+  // scratch (paper IV-C3: each thread serializes into its own buffer).
+  struct EdgeSender {
+    EdgeSender(comm::Network& net, HostId me, size_t threshold)
+        : sender(net, me, comm::kTagEdgeBatch, threshold),
+          dstsFor(net.numHosts()),
+          weightsFor(net.numHosts()) {}
+    comm::BufferedSender sender;
+    std::vector<std::vector<uint64_t>> dstsFor;
+    std::vector<std::vector<uint32_t>> weightsFor;
+  };
+
   // The streaming half of graph construction: re-assign every read edge
   // and either insert it locally or ship it to its owner.
   void streamAndSendEdges(bool withData) {
@@ -1228,12 +1262,12 @@ class PartitionJob {
       comm::BufferedSender sender(net_, me_, comm::kTagEdgeBatch,
                                   config_.messageBufferThreshold);
       forEachEdgeWindowed([&](uint64_t s, uint64_t e) {
-        const uint64_t d = winDests_[e];
+        const uint64_t d = residentEdges_.dests[e];
         const uint32_t owner =
             policy_.edge.fn(prop_, s, d, masterOf(s), masterOf(d), state_);
         std::vector<uint64_t> oneDst{d};
         std::vector<uint32_t> oneWeight =
-            withData ? std::vector<uint32_t>{winEdgeData_[e]}
+            withData ? std::vector<uint32_t>{residentEdges_.weights[e]}
                      : std::vector<uint32_t>{};
         if (owner == me_) {
           insertEdges(s, oneDst, oneWeight);
@@ -1245,105 +1279,61 @@ class PartitionJob {
       return;
     }
 
-    if (streamingWindows_) {
-      // Chunked replay: one sequential pass over the chunks, same node
-      // order as the resident paths. Chunks are node-aligned, so per-node
-      // records group exactly as in the single-threaded resident path;
-      // arrival-order differences are absorbed by the row sort.
-      comm::BufferedSender sender(net_, me_, comm::kTagEdgeBatch,
-                                  config_.messageBufferThreshold);
-      std::vector<std::vector<uint64_t>> dstsFor(numHosts());
-      std::vector<std::vector<uint32_t>> weightsFor(numHosts());
-      forEachChunk([&](const Chunk& chunk,
-                       const std::vector<uint64_t>& dests,
-                       const std::vector<uint32_t>& weights) {
-        for (uint64_t idx = chunk.nodeBegin; idx < chunk.nodeEnd; ++idx) {
-          const uint64_t s = myRange_.nodeBegin + idx;
-          const uint64_t eBegin = winRowStart_[idx] - chunk.edgeBegin;
-          const uint64_t eEnd = winRowStart_[idx + 1] - chunk.edgeBegin;
-          if (eBegin == eEnd) {
-            continue;
-          }
-          const uint32_t sMaster = masterOf(s);
-          for (auto& v : dstsFor) {
-            v.clear();
-          }
-          for (auto& v : weightsFor) {
-            v.clear();
-          }
-          for (uint64_t e = eBegin; e < eEnd; ++e) {
-            const uint64_t d = dests[e];
-            const uint32_t owner = policy_.edge.fn(prop_, s, d, sMaster,
-                                                   masterOf(d), state_);
-            dstsFor[owner].push_back(d);
-            if (withData) {
-              weightsFor[owner].push_back(weights[e]);
-            }
-          }
-          for (HostId h = 0; h < numHosts(); ++h) {
-            if (dstsFor[h].empty()) {
-              continue;
-            }
-            if (h == me_) {
-              insertEdges(s, dstsFor[h], weightsFor[h]);
-            } else {
-              sendRecord(sender, h, s, dstsFor[h], weightsFor[h], withData);
-            }
-          }
-        }
-      });
-      sender.flushAll();
-      return;
+    // Chunks in ascending node order, each split across the threads. The
+    // per-thread senders outlive the chunks and flush once at the end.
+    // Chunks are node-aligned, so per-node records group identically at any
+    // chunk size; arrival-order differences are absorbed by the row sort.
+    const unsigned threads = edgeThreads();
+    std::deque<EdgeSender> senders;
+    for (unsigned t = 0; t < std::max(1u, threads); ++t) {
+      senders.emplace_back(net_, me_, config_.messageBufferThreshold);
     }
-
-    const unsigned threads =
-        policy_.edge.usesState ? 1 : config_.threadsPerHost;
-    support::parallelForBlocked(
-        0, myNumNodes(),
-        [&](unsigned, uint64_t lo, uint64_t hi) {
-          // Thread-local buffered senders and scratch (paper IV-C3: each
-          // thread serializes into its own buffer).
-          comm::BufferedSender sender(net_, me_, comm::kTagEdgeBatch,
-                                      config_.messageBufferThreshold);
-          std::vector<std::vector<uint64_t>> dstsFor(numHosts());
-          std::vector<std::vector<uint32_t>> weightsFor(numHosts());
-          for (uint64_t idx = lo; idx < hi; ++idx) {
-            const uint64_t s = myRange_.nodeBegin + idx;
-            const uint32_t sMaster = masterOf(s);
-            const auto [eBegin, eEnd] = windowEdges(s);
-            if (eBegin == eEnd) {
-              continue;
-            }
-            for (auto& v : dstsFor) {
-              v.clear();
-            }
-            for (auto& v : weightsFor) {
-              v.clear();
-            }
-            for (uint64_t e = eBegin; e < eEnd; ++e) {
-              const uint64_t d = winDests_[e];
-              const uint32_t owner = policy_.edge.fn(prop_, s, d, sMaster,
-                                                     masterOf(d), state_);
-              dstsFor[owner].push_back(d);
-              if (withData) {
-                weightsFor[owner].push_back(winEdgeData_[e]);
-              }
-            }
-            for (HostId h = 0; h < numHosts(); ++h) {
-              if (dstsFor[h].empty()) {
+    forEachChunk([&](const Chunk& chunk, const ChunkEdges& edges) {
+      support::parallelForBlocked(
+          chunk.nodeBegin, chunk.nodeEnd,
+          [&](unsigned tid, uint64_t lo, uint64_t hi) {
+            auto& [sender, dstsFor, weightsFor] = senders[tid];
+            for (uint64_t idx = lo; idx < hi; ++idx) {
+              const uint64_t s = myRange_.nodeBegin + idx;
+              const uint64_t eBegin = winRowStart_[idx] - chunk.edgeBegin;
+              const uint64_t eEnd = winRowStart_[idx + 1] - chunk.edgeBegin;
+              if (eBegin == eEnd) {
                 continue;
               }
-              if (h == me_) {
-                insertEdges(s, dstsFor[h], weightsFor[h]);
-              } else {
-                sendRecord(sender, h, s, dstsFor[h], weightsFor[h],
-                           withData);
+              const uint32_t sMaster = masterOf(s);
+              for (auto& v : dstsFor) {
+                v.clear();
+              }
+              for (auto& v : weightsFor) {
+                v.clear();
+              }
+              for (uint64_t e = eBegin; e < eEnd; ++e) {
+                const uint64_t d = edges.dests[e];
+                const uint32_t owner = policy_.edge.fn(prop_, s, d, sMaster,
+                                                       masterOf(d), state_);
+                dstsFor[owner].push_back(d);
+                if (withData) {
+                  weightsFor[owner].push_back(edges.weights[e]);
+                }
+              }
+              for (HostId h = 0; h < numHosts(); ++h) {
+                if (dstsFor[h].empty()) {
+                  continue;
+                }
+                if (h == me_) {
+                  insertEdges(s, dstsFor[h], weightsFor[h]);
+                } else {
+                  sendRecord(sender, h, s, dstsFor[h], weightsFor[h],
+                             withData);
+                }
               }
             }
-          }
-          sender.flushAll();
-        },
-        threads);
+          },
+          threads);
+    });
+    for (EdgeSender& t : senders) {
+      t.sender.flushAll();
+    }
   }
 
   void insertEdges(uint64_t srcGid, const std::vector<uint64_t>& dsts,
@@ -1440,21 +1430,14 @@ class PartitionJob {
   std::shared_ptr<support::MemoryBudget> budget_;
   uint64_t windowChargeBytes_ = 0;  // released in the destructor
 
-  // One node-aligned streaming chunk: node bounds are window-relative,
-  // edge bounds are GLOBAL file offsets (winRowStart_'s coordinate space).
-  struct Chunk {
-    uint64_t nodeBegin = 0, nodeEnd = 0;
-    uint64_t edgeBegin = 0, edgeEnd = 0;
-  };
-
   // --- reading phase ---
   std::vector<ReadRange> ranges_;
   ReadRange myRange_;
-  std::vector<uint64_t> winRowStart_;  // global edge offsets, rebased view
-  std::vector<uint64_t> winDests_;     // empty in streaming mode
-  std::vector<uint32_t> winEdgeData_;
-  bool streamingWindows_ = false;      // bounded-window streaming reads
-  std::vector<Chunk> chunks_;          // streaming mode only
+  std::span<const uint64_t> winRowStart_;  // view of file_.rowStarts()
+  bool streamingWindows_ = false;  // bounded-window streaming reads
+  std::vector<Chunk> chunks_;      // one chunk covering a resident window
+  ChunkEdges residentEdges_;       // the resident chunk's edges
+  EdgeBuffers residentBuffers_;    // back residentEdges_ for windowed files
   bool spilled_ = false;  // chunks live in spillDir, not the graph file
 
   // --- master assignment ---

@@ -299,56 +299,55 @@ GraphFile GraphFile::openWindowed(const std::string& path) {
   return file;
 }
 
-std::vector<uint64_t> GraphFile::readDestWindow(uint64_t edgeBegin,
-                                                uint64_t edgeEnd) const {
+std::span<const uint64_t> GraphFile::destWindow(
+    uint64_t edgeBegin, uint64_t edgeEnd,
+    std::vector<uint64_t>& buffer) const {
   if (edgeBegin > edgeEnd || edgeEnd > numEdges_) {
     throw GraphFileError(path_, "edge window out of range");
   }
-  std::vector<uint64_t> dests(edgeEnd - edgeBegin);
   if (!windowed_) {
-    std::copy(dests_.begin() + static_cast<ptrdiff_t>(edgeBegin),
-              dests_.begin() + static_cast<ptrdiff_t>(edgeEnd), dests.begin());
-    return dests;
+    return std::span<const uint64_t>(dests_).subspan(edgeBegin,
+                                                     edgeEnd - edgeBegin);
   }
+  buffer.resize(edgeEnd - edgeBegin);
   const std::vector<uint8_t> bytes =
       readRangeChecked(path_, destOffset_ + edgeBegin * sizeof(uint64_t),
-                       dests.size() * sizeof(uint64_t));
-  if (!dests.empty()) {
-    std::memcpy(dests.data(), bytes.data(), bytes.size());
+                       buffer.size() * sizeof(uint64_t));
+  if (!buffer.empty()) {
+    std::memcpy(buffer.data(), bytes.data(), bytes.size());
   }
   // Re-validate: the open-time CRC covers at-rest state, but this read may
   // itself have been faulted (injected bit rot), and defense-in-depth on a
   // fresh fetch is cheap.
-  for (uint64_t dst : dests) {
+  for (uint64_t dst : buffer) {
     if (dst >= numNodes_) {
       throw GraphFileError(path_, "destination out of range");
     }
   }
-  return dests;
+  return buffer;
 }
 
-std::vector<uint32_t> GraphFile::readEdgeDataWindow(uint64_t edgeBegin,
-                                                    uint64_t edgeEnd) const {
+std::span<const uint32_t> GraphFile::edgeDataWindow(
+    uint64_t edgeBegin, uint64_t edgeEnd,
+    std::vector<uint32_t>& buffer) const {
   if (edgeBegin > edgeEnd || edgeEnd > numEdges_) {
     throw GraphFileError(path_, "edge window out of range");
   }
   if (!hasEdgeData_) {
     return {};
   }
-  std::vector<uint32_t> weights(edgeEnd - edgeBegin);
   if (!windowed_) {
-    std::copy(edgeData_.begin() + static_cast<ptrdiff_t>(edgeBegin),
-              edgeData_.begin() + static_cast<ptrdiff_t>(edgeEnd),
-              weights.begin());
-    return weights;
+    return std::span<const uint32_t>(edgeData_).subspan(edgeBegin,
+                                                        edgeEnd - edgeBegin);
   }
+  buffer.resize(edgeEnd - edgeBegin);
   const std::vector<uint8_t> bytes =
       readRangeChecked(path_, edgeDataOffset_ + edgeBegin * sizeof(uint32_t),
-                       weights.size() * sizeof(uint32_t));
-  if (!weights.empty()) {
-    std::memcpy(weights.data(), bytes.data(), bytes.size());
+                       buffer.size() * sizeof(uint32_t));
+  if (!buffer.empty()) {
+    std::memcpy(buffer.data(), bytes.data(), bytes.size());
   }
-  return weights;
+  return buffer;
 }
 
 void GraphFile::save(const std::string& path, const CsrGraph& graph) {
@@ -386,14 +385,14 @@ CsrGraph GraphFile::toCsr() const {
   if (hasEdgeData_) {
     edgeData.reserve(numEdges_);
   }
+  std::vector<uint64_t> destBuffer;
+  std::vector<uint32_t> dataBuffer;
   for (uint64_t e = 0; e < numEdges_; e += chunkEdges) {
     const uint64_t end = std::min(numEdges_, e + chunkEdges);
-    const std::vector<uint64_t> destChunk = readDestWindow(e, end);
+    const auto destChunk = destWindow(e, end, destBuffer);
     dests.insert(dests.end(), destChunk.begin(), destChunk.end());
-    if (hasEdgeData_) {
-      const std::vector<uint32_t> dataChunk = readEdgeDataWindow(e, end);
-      edgeData.insert(edgeData.end(), dataChunk.begin(), dataChunk.end());
-    }
+    const auto dataChunk = edgeDataWindow(e, end, dataBuffer);
+    edgeData.insert(edgeData.end(), dataChunk.begin(), dataChunk.end());
   }
   return CsrGraph(rowStart_, std::move(dests), std::move(edgeData));
 }

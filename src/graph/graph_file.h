@@ -66,8 +66,8 @@ class GraphFile {
 
   // True bounded-window streaming open: materializes only the header and the
   // row index ((numNodes + 1) * 8 bytes); destinations and edge data stay on
-  // disk and are fetched per edge range with readDestWindow /
-  // readEdgeDataWindow. The CRC footer is verified at open time with a
+  // disk and are fetched per edge range with destWindow / edgeDataWindow.
+  // The CRC footer is verified at open time with a
   // chunked streaming read (bounded buffer), so at-rest corruption is caught
   // up front exactly as load() catches it. Whole-image accessors
   // (destinations(), outNeighbors(), edgeData()) throw GraphFileError in
@@ -95,16 +95,20 @@ class GraphFile {
     return edgeData_;
   }
 
-  // Bounded-window reads of the edge range [edgeBegin, edgeEnd): the only
-  // way hosts touch edges in windowed mode, and byte-identical to slicing
-  // the in-memory arrays when the file is resident (the streaming fuzz test
-  // asserts this). Windowed reads go through support::readFileRange, so
-  // injected storage faults apply; every fetched destination is re-validated
-  // against numNodes. Throws GraphFileError on truncation or a read fault.
-  std::vector<uint64_t> readDestWindow(uint64_t edgeBegin,
-                                       uint64_t edgeEnd) const;
-  std::vector<uint32_t> readEdgeDataWindow(uint64_t edgeBegin,
-                                           uint64_t edgeEnd) const;
+  // Views of the edge range [edgeBegin, edgeEnd), the only way hosts touch
+  // edges in either mode. A resident file returns a subspan of its own
+  // array and leaves `buffer` alone; a windowed file reads the range into
+  // `buffer` and returns a span of it. The view is byte-identical to slicing
+  // the in-memory arrays (the streaming fuzz test asserts this) and lives as
+  // long as the file or the buffer. Windowed reads go through
+  // support::readFileRange, so injected storage faults apply; every fetched
+  // destination is re-validated against numNodes. edgeDataWindow is empty
+  // without edge data. Throws GraphFileError on truncation or a read fault.
+  std::span<const uint64_t> destWindow(uint64_t edgeBegin, uint64_t edgeEnd,
+                                       std::vector<uint64_t>& buffer) const;
+  std::span<const uint32_t> edgeDataWindow(
+      uint64_t edgeBegin, uint64_t edgeEnd,
+      std::vector<uint32_t>& buffer) const;
 
   uint64_t outDegree(uint64_t node) const {
     return rowStart_[node + 1] - rowStart_[node];

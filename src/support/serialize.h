@@ -46,12 +46,11 @@ class SendBuffer {
   void reserve(size_t bytes) { data_.reserve(bytes); }
 
   void appendBytes(const void* src, size_t len) {
-    if (len == 0) {  // both pointers may be null on empty buffers
+    if (len == 0) {  // src may be null for an empty range
       return;
     }
-    const size_t offset = data_.size();
-    data_.resize(offset + len);
-    std::memcpy(data_.data() + offset, src, len);
+    const auto* bytes = static_cast<const uint8_t*>(src);
+    data_.insert(data_.end(), bytes, bytes + len);
   }
 
   std::vector<uint8_t> release() { return std::move(data_); }

@@ -7,7 +7,7 @@
 #
 # Usage: tests/run_sanitized.sh [asan-ubsan|tsan|ubsan|tsan-degraded|
 # tsan-chaos|tsan-obs|tsan-storage|tsan-splitbrain|asan-memory|
-# tsan-service|tsan-commbuf|asan-core]
+# tsan-service|tsan-commbuf|asan-core|tsan-core]
 # (default: both full suites).
 # `tsan-degraded` builds
 # the TSan preset but runs only the tests labeled `degraded` (eviction,
@@ -43,7 +43,11 @@
 # label (test_partitioner + test_dist_graph) under ASan+UBSan: the preset
 # also defines _GLIBCXX_ASSERTIONS, so every operator[] on the
 # partitioner's dense per-node master and local-id tables is
-# bounds-checked. `ubsan` is a standalone
+# bounds-checked. `tsan-core` runs the same `core` label under TSan: with
+# threadsPerHost > 1 every host splits each window chunk (the whole
+# resident window, or one streaming chunk) across threads whose buffered
+# senders live for the whole pass, and those threads share the dense
+# tables, the mirror bitsets and the insert cursors. `ubsan` is a standalone
 # UBSan build for when an ASan report needs to be separated from a UB
 # report.
 set -euo pipefail
@@ -85,6 +89,9 @@ for preset in "${presets[@]}"; do
     label_args=(-L commbuf)
   elif [ "$preset" = "asan-core" ]; then
     build_preset="asan-ubsan"
+    label_args=(-L '^core$')
+  elif [ "$preset" = "tsan-core" ]; then
+    build_preset="tsan"
     label_args=(-L '^core$')
   fi
   echo "==== [$preset] configure ===="

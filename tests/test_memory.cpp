@@ -25,6 +25,7 @@
 #include "core/policies.h"
 #include "graph/generators.h"
 #include "graph/graph_file.h"
+#include "obs/obs.h"
 #include "support/memory.h"
 #include "support/random.h"
 #include "testutil.h"
@@ -78,6 +79,18 @@ void expectSamePartitions(const std::vector<core::DistGraph>& a,
     EXPECT_EQ(a[h].masterHostOfLocal, b[h].masterHostOfLocal)
         << what << ": host " << h;
   }
+}
+
+// Spill segments (*.spill files) left anywhere under `dir`.
+size_t spillSegmentsUnder(const std::string& dir) {
+  size_t count = 0;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(dir)) {
+    if (entry.is_regular_file() && entry.path().extension() == ".spill") {
+      ++count;
+    }
+  }
+  return count;
 }
 
 // --- MemoryBudget ------------------------------------------------------------
@@ -328,7 +341,9 @@ TEST(SpillCodecTest, SpillAccountsBytesAndRestores) {
 // Every way of slicing the on-disk edge array through the window API must
 // be byte-identical to slicing the resident arrays: fixed widths from a
 // single edge to the whole file, uneven random cuts, and node-aligned cuts
-// (the shapes the streaming chunk walk produces).
+// (the shapes the streaming chunk walk produces). A resident file answers
+// with views of its own arrays and leaves the caller's buffers alone; a
+// windowed file reads into the (reused) buffers.
 TEST(WindowedGraphFileTest, FuzzWindowSlicesMatchResidentArrays) {
   TempDir dir;
   graph::RmatParams params;
@@ -347,9 +362,24 @@ TEST(WindowedGraphFileTest, FuzzWindowSlicesMatchResidentArrays) {
   const auto dests = resident.destinations();
   const auto data = resident.edgeDataArray();
 
+  std::vector<uint64_t> destBuffer;
+  std::vector<uint32_t> dataBuffer;
   auto checkWindow = [&](uint64_t begin, uint64_t end) {
-    const auto d = windowed.readDestWindow(begin, end);
-    const auto w = windowed.readEdgeDataWindow(begin, end);
+    std::vector<uint64_t> untouchedDests;
+    std::vector<uint32_t> untouchedData;
+    const auto rd = resident.destWindow(begin, end, untouchedDests);
+    const auto rw = resident.edgeDataWindow(begin, end, untouchedData);
+    ASSERT_EQ(rd.data(), dests.data() + begin);
+    ASSERT_EQ(rd.size(), end - begin);
+    ASSERT_EQ(rw.data(), data.data() + begin);
+    ASSERT_EQ(rw.size(), end - begin);
+    ASSERT_TRUE(untouchedDests.empty());
+    ASSERT_TRUE(untouchedData.empty());
+
+    const auto d = windowed.destWindow(begin, end, destBuffer);
+    const auto w = windowed.edgeDataWindow(begin, end, dataBuffer);
+    ASSERT_EQ(d.data(), destBuffer.data());
+    ASSERT_EQ(w.data(), dataBuffer.data());
     ASSERT_EQ(d.size(), end - begin);
     ASSERT_EQ(w.size(), end - begin);
     for (uint64_t i = 0; i < end - begin; ++i) {
@@ -462,6 +492,8 @@ TEST(StreamingPartitionTest, StreamingBitIdenticalAcrossChunkSizesAndSpill) {
       spilling.spillDir = dir.file(name + "." + policyName + ".spill");
       check(core::partitionGraph(file, policy, spilling),
             name + "/" + policyName + "/spill");
+      EXPECT_EQ(spillSegmentsUnder(spilling.spillDir), 0u)
+          << name << "/" << policyName << ": segments outlived the job";
     }
   }
 }
@@ -491,6 +523,57 @@ TEST(StreamingPartitionTest, WindowedFileOnDiskMatchesResidentFile) {
       testutil::partitionInvariantViolations(g, fromDisk.partitions);
   EXPECT_TRUE(violations.empty())
       << "first violation: " << (violations.empty() ? "" : violations[0]);
+
+  // ADWISE scores edges at random window offsets, so its walk reads the
+  // window each host read from disk into its own buffer.
+  auto adwise = core::makePolicy("GREEDY");
+  adwise.edge = core::withWindowScore(adwise.edge);
+  core::PartitionerConfig windowedConfig = config;
+  windowedConfig.windowSize = 16;
+  const auto adwiseResident =
+      core::partitionGraph(resident, adwise, windowedConfig);
+  const auto adwiseFromDisk =
+      core::partitionGraph(windowed, adwise, windowedConfig);
+  for (uint32_t h = 0; h < config.numHosts; ++h) {
+    EXPECT_TRUE(adwiseResident.partitions[h].graph ==
+                adwiseFromDisk.partitions[h].graph)
+        << "windowed-file ADWISE GREEDY: host " << h;
+  }
+}
+
+// Paper IV-B1's read-once rule, as the partitioner's own disk charge
+// (cusp.partitioner.read_bytes) reports it. A resident run charges each
+// host's row slice and edge window exactly once, even when master
+// assignment walks the window again: summed over k hosts that is
+// (N + k)*8 + E*(8, or 12 with edge data) bytes. A streaming run of a pure
+// policy re-fetches the window once in edge assignment and once in graph
+// construction (master assignment does nothing for pure rules).
+TEST(StreamingPartitionTest, DiskChargeReadsEachWindowOnce) {
+  const graph::CsrGraph plain = testutil::testGraphCatalog()[5].graph;  // rmat8
+  const graph::CsrGraph weighted = graph::withRandomWeights(plain, 64, 3);
+  constexpr uint32_t kHosts = 4;
+  for (const graph::CsrGraph* g : {&plain, &weighted}) {
+    const graph::GraphFile file = graph::GraphFile::fromCsr(*g);
+    const uint64_t rowBytes = (g->numNodes() + kHosts) * sizeof(uint64_t);
+    const uint64_t windowBytes =
+        g->numEdges() * (sizeof(uint64_t) +
+                         (g->hasEdgeData() ? sizeof(uint32_t) : 0));
+    auto readBytes = [&](const std::string& policy,
+                         const core::PartitionerConfig& config) {
+      obs::ScopedObservability scope;
+      core::partitionGraph(file, core::makePolicy(policy), config);
+      return scope.metrics().snapshot().counterValue(
+          "cusp.partitioner.read_bytes");
+    };
+    const std::string what = g->hasEdgeData() ? "weighted" : "unweighted";
+    core::PartitionerConfig config;
+    config.numHosts = kHosts;
+    EXPECT_EQ(readBytes("CVC", config), rowBytes + windowBytes) << what;
+    EXPECT_EQ(readBytes("SVC", config), rowBytes + windowBytes) << what;
+    config.forceStreamingWindows = true;
+    config.streamChunkEdges = 64;
+    EXPECT_EQ(readBytes("CVC", config), rowBytes + 2 * windowBytes) << what;
+  }
 }
 
 // The scale acceptance: a graph ten times the bench inputs partitions
@@ -566,6 +649,8 @@ TEST(MemoryLadderTest, InjectedChunkFaultsWalkTheLadder) {
   EXPECT_EQ(report.memoryPressureEvents, 3u);
   EXPECT_GT(report.spillBytesWritten, 0u);  // rung 2 engaged the spill store
   EXPECT_GT(report.memoryPeakBytes, 0u);
+  // Every attempt's segments, the failed ones' included, die with its job.
+  EXPECT_EQ(spillSegmentsUnder(dir.path()), 0u);
   expectSamePartitions(baseline.partitions, result.partitions,
                        "ladder-recovered run");
 }

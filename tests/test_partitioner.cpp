@@ -615,9 +615,16 @@ TEST(Partitioner, ThreadedHostsMatchSingleThreadedForPureRules) {
   config.numHosts = 3;
   PartitionResult serial = partition(g, "CVC", 3, config);
   config.threadsPerHost = 3;
-  PartitionResult threaded = partition(g, "CVC", 3, config);
-  for (uint32_t h = 0; h < 3; ++h) {
-    EXPECT_EQ(serial.partitions[h].graph, threaded.partitions[h].graph);
+  // Streaming runs the same threaded loop per chunk, with per-thread
+  // senders that outlive the chunks.
+  for (const bool streaming : {false, true}) {
+    config.forceStreamingWindows = streaming;
+    config.streamChunkEdges = 64;
+    PartitionResult threaded = partition(g, "CVC", 3, config);
+    for (uint32_t h = 0; h < 3; ++h) {
+      EXPECT_EQ(serial.partitions[h].graph, threaded.partitions[h].graph)
+          << (streaming ? "streaming" : "resident") << " host " << h;
+    }
   }
 }
 
