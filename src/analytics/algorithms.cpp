@@ -1,10 +1,9 @@
 #include "analytics/algorithms.h"
 
 #include <algorithm>
-#include <functional>
-#include <stdexcept>
 
 #include "analytics/engine.h"
+#include "analytics/programs.h"
 #include "obs/obs.h"
 #include "support/timer.h"
 
@@ -40,103 +39,31 @@ struct RoundObs {
   }
 };
 
-void requireCsrOrientation(const DistGraph& part) {
-  if (part.isTransposed) {
-    throw std::invalid_argument(
-        "analytics: partition is in CSC orientation; algorithms expect CSR "
-        "(out-edge) partitions");
-  }
-}
-
-// Shared skeleton for bfs / sssp / cc: Bellman-Ford-style rounds.
-// candidate(value[u], edgeId) proposes a value for the edge's destination;
-// the global fixpoint of min over all proposals is computed. `init`
-// seeds per-local-node values and the initial frontier.
-std::vector<uint64_t> minPropagate(
-    comm::Network& net, comm::HostId me, const DistGraph& part,
-    const std::function<uint64_t(uint64_t lid, uint64_t gid)>& init,
-    const std::function<uint64_t(uint64_t value, uint64_t edge)>& candidate,
-    uint32_t* roundsOut, double* modeledSecondsOut) {
-  requireCsrOrientation(part);
-  SyncContext sync(net, me, part);
-  const uint64_t numLocal = part.numLocalNodes();
-  std::vector<uint64_t> value(numLocal);
-  DynamicBitset frontier(numLocal);   // nodes to relax from this round
-  DynamicBitset dirty(numLocal);      // nodes whose value changed this round
-  for (uint64_t lid = 0; lid < numLocal; ++lid) {
-    value[lid] = init(lid, part.globalId(lid));
-    if (value[lid] != kInfinity) {
-      frontier.set(lid);
-    }
-  }
-  auto combineMin = [](uint64_t& acc, uint64_t in) {
-    if (in < acc) {
-      acc = in;
-      return true;
-    }
-    return false;
-  };
+// Runs `program` to its fixpoint on this host: the plain drivers' loop, with
+// no checkpoints and no fault handling. A round's BSP makespan is the
+// slowest host's CPU plus modeled communication over local compute, reduce
+// and broadcast; the termination vote is outside it. `clusterSeconds`
+// carries any set-up cost already charged.
+template <typename Program>
+std::vector<typename Program::Value> runToFixpoint(
+    Program& program, comm::Network& net, comm::HostId me, const char* algo,
+    double clusterSeconds, uint32_t* roundsOut, double* modeledSecondsOut) {
+  RoundObs robs(algo);
   uint32_t rounds = 0;
-  double clusterSeconds = 0.0;  // sum over rounds of the slowest host
-  RoundObs robs("min_propagate");
-  for (;;) {
+  for (bool more = true; more; ++rounds) {
     obs::ScopedSpan roundSpan(robs.trace.get(), me,
                               "superstep " + std::to_string(rounds));
-    const double cpu0 = support::threadCpuSeconds();
-    const double comm0 = net.modeledCommSeconds(me);
-    // Local relaxation along out-edges.
-    std::vector<uint64_t> active;
-    frontier.collectSetBits(active);
-    frontier.resetAll();
     if (robs.supersteps != nullptr) {
       robs.supersteps->add();
-      robs.frontier->observe(static_cast<double>(active.size()));
+      robs.frontier->observe(static_cast<double>(program.activeCount()));
     }
-    for (uint64_t u : active) {
-      if (value[u] == kInfinity) {
-        continue;
-      }
-      for (uint64_t e = part.graph.edgeBegin(u); e < part.graph.edgeEnd(u);
-           ++e) {
-        const uint64_t v = part.graph.edgeDst(e);
-        const uint64_t proposal = candidate(value[u], e);
-        if (proposal < value[v]) {
-          value[v] = proposal;
-          dirty.set(v);
-        }
-      }
-    }
-    // Mirrors push changes to masters (min), masters push canonical values
-    // back; every changed node joins the next frontier.
-    DynamicBitset masterChanged(numLocal);
-    sync.reduceToMasters<uint64_t>(value, dirty, combineMin, masterChanged);
-    // Masters changed locally this round must broadcast too.
-    std::vector<uint64_t> dirtyMasters;
-    dirty.collectSetBits(dirtyMasters);
-    for (uint64_t lid : dirtyMasters) {
-      if (part.isMaster(lid)) {
-        masterChanged.set(lid);
-      }
-      frontier.set(lid);
-    }
-    DynamicBitset mirrorUpdated(numLocal);
-    sync.broadcastToMirrors<uint64_t>(value, masterChanged, mirrorUpdated);
-    std::vector<uint64_t> updated;
-    masterChanged.collectSetBits(updated);
-    mirrorUpdated.collectSetBits(updated);
-    for (uint64_t lid : updated) {
-      frontier.set(lid);
-    }
-    dirty.resetAll();
-    ++rounds;
-    // BSP makespan: the round ends for everyone when the slowest host
-    // finishes its compute + modeled communication.
-    const double myRound = (support::threadCpuSeconds() - cpu0) +
-                           (net.modeledCommSeconds(me) - comm0);
-    clusterSeconds += net.allReduceMax(me, myRound);
-    if (!net.allReduceOr(me, frontier.any())) {
-      break;
-    }
+    const double cpu0 = support::threadCpuSeconds();
+    const double comm0 = net.modeledCommSeconds(me);
+    program.superstep();
+    clusterSeconds += net.allReduceMax(
+        me, (support::threadCpuSeconds() - cpu0) +
+                (net.modeledCommSeconds(me) - comm0));
+    more = program.vote(rounds);
   }
   if (roundsOut != nullptr) {
     *roundsOut = rounds;
@@ -144,7 +71,7 @@ std::vector<uint64_t> minPropagate(
   if (modeledSecondsOut != nullptr) {
     *modeledSecondsOut = clusterSeconds;
   }
-  return value;
+  return std::move(program.value);
 }
 
 }  // namespace
@@ -161,7 +88,7 @@ std::vector<uint64_t> globalOutDegreesOnHost(comm::Network& net,
   DynamicBitset dirty(numLocal);
   for (uint64_t lid = 0; lid < numLocal; ++lid) {
     degree[lid] = part.graph.outDegree(lid);
-    dirty.set(lid);
+    dirty.setSingleWriter(lid);
   }
   DynamicBitset changed(numLocal);
   sync.reduceToMasters<uint64_t>(
@@ -173,7 +100,7 @@ std::vector<uint64_t> globalOutDegreesOnHost(comm::Network& net,
       changed);
   DynamicBitset allMasters(numLocal);
   for (uint64_t lid = 0; lid < part.numMasters; ++lid) {
-    allMasters.set(lid);
+    allMasters.setSingleWriter(lid);
   }
   DynamicBitset mirrorUpdated(numLocal);
   sync.broadcastToMirrors<uint64_t>(degree, allMasters, mirrorUpdated);
@@ -229,38 +156,26 @@ std::vector<uint64_t> bfsOnHost(comm::Network& net, comm::HostId me,
                                 const DistGraph& part, uint64_t sourceGid,
                                 uint32_t* roundsOut,
                                 double* modeledSecondsOut) {
-  return minPropagate(
-      net, me, part,
-      [&](uint64_t, uint64_t gid) {
-        return gid == sourceGid ? 0ull : kInfinity;
-      },
-      [](uint64_t value, uint64_t) { return value + 1; }, roundsOut,
-      modeledSecondsOut);
+  auto program = detail::bfsProgram(net, me, part, sourceGid);
+  return runToFixpoint(program, net, me, "min_propagate", 0.0, roundsOut,
+                       modeledSecondsOut);
 }
 
 std::vector<uint64_t> ssspOnHost(comm::Network& net, comm::HostId me,
                                  const DistGraph& part, uint64_t sourceGid,
                                  uint32_t* roundsOut,
                                  double* modeledSecondsOut) {
-  return minPropagate(
-      net, me, part,
-      [&](uint64_t, uint64_t gid) {
-        return gid == sourceGid ? 0ull : kInfinity;
-      },
-      [&](uint64_t value, uint64_t edge) {
-        return value + part.graph.edgeData(edge);
-      },
-      roundsOut, modeledSecondsOut);
+  auto program = detail::ssspProgram(net, me, part, sourceGid);
+  return runToFixpoint(program, net, me, "min_propagate", 0.0, roundsOut,
+                       modeledSecondsOut);
 }
 
 std::vector<uint64_t> ccOnHost(comm::Network& net, comm::HostId me,
                                const DistGraph& part, uint32_t* roundsOut,
                                double* modeledSecondsOut) {
-  return minPropagate(
-      net, me, part,
-      [](uint64_t, uint64_t gid) { return gid; },
-      [](uint64_t value, uint64_t) { return value; }, roundsOut,
-      modeledSecondsOut);
+  auto program = detail::ccProgram(net, me, part);
+  return runToFixpoint(program, net, me, "min_propagate", 0.0, roundsOut,
+                       modeledSecondsOut);
 }
 
 std::vector<double> pageRankOnHost(comm::Network& net, comm::HostId me,
@@ -268,93 +183,22 @@ std::vector<double> pageRankOnHost(comm::Network& net, comm::HostId me,
                                    const PageRankParams& params,
                                    uint32_t* roundsOut,
                                    double* modeledSecondsOut) {
-  requireCsrOrientation(part);
-  SyncContext sync(net, me, part);
-  const uint64_t numLocal = part.numLocalNodes();
-  const double n = static_cast<double>(part.numGlobalNodes);
-  double clusterSeconds = 0.0;
-  double cpu0 = support::threadCpuSeconds();
-  double comm0 = net.modeledCommSeconds(me);
-  const std::vector<uint64_t> degree = globalOutDegreesOnHost(net, me, part);
-  clusterSeconds += net.allReduceMax(
+  // The degree exchange in the constructor is a BSP round of its own.
+  const double cpu0 = support::threadCpuSeconds();
+  const double comm0 = net.modeledCommSeconds(me);
+  detail::PageRankProgram program(net, me, part, params);
+  const double setupSeconds = net.allReduceMax(
       me, (support::threadCpuSeconds() - cpu0) +
               (net.modeledCommSeconds(me) - comm0));
-
-  std::vector<double> rank(numLocal, n > 0 ? 1.0 / n : 0.0);
-  std::vector<double> accum(numLocal, 0.0);
-  DynamicBitset allMasters(numLocal);
-  for (uint64_t lid = 0; lid < part.numMasters; ++lid) {
-    allMasters.set(lid);
-  }
-  uint32_t rounds = 0;
-  RoundObs robs("pagerank");
-  for (uint32_t iter = 0; iter < params.maxIterations; ++iter) {
-    obs::ScopedSpan roundSpan(robs.trace.get(), me,
-                              "superstep " + std::to_string(iter));
-    if (robs.supersteps != nullptr) {
-      robs.supersteps->add();
-      robs.frontier->observe(static_cast<double>(numLocal));
-    }
-    cpu0 = support::threadCpuSeconds();
-    comm0 = net.modeledCommSeconds(me);
-    // Scatter contributions along local out-edges.
-    std::fill(accum.begin(), accum.end(), 0.0);
-    DynamicBitset contributed(numLocal);
-    for (uint64_t u = 0; u < numLocal; ++u) {
-      if (degree[u] == 0 || part.graph.outDegree(u) == 0) {
-        continue;
-      }
-      const double share = rank[u] / static_cast<double>(degree[u]);
-      for (uint64_t e = part.graph.edgeBegin(u); e < part.graph.edgeEnd(u);
-           ++e) {
-        const uint64_t v = part.graph.edgeDst(e);
-        accum[v] += share;
-        contributed.set(v);
-      }
-    }
-    // Sum partial accumulations into masters.
-    DynamicBitset unusedChanged(numLocal);
-    sync.reduceToMasters<double>(
-        accum, contributed,
-        [](double& acc, double in) {
-          acc += in;
-          return true;
-        },
-        unusedChanged);
-    // Apply and measure residual on masters.
-    double localDelta = 0.0;
-    for (uint64_t lid = 0; lid < part.numMasters; ++lid) {
-      const double updated = (1.0 - params.damping) / n +
-                             params.damping * accum[lid];
-      localDelta = std::max(localDelta, std::abs(updated - rank[lid]));
-      rank[lid] = updated;
-    }
-    // Refresh mirrors with the new ranks.
-    DynamicBitset mirrorUpdated(numLocal);
-    sync.broadcastToMirrors<double>(rank, allMasters, mirrorUpdated);
-    ++rounds;
-    clusterSeconds += net.allReduceMax(
-        me, (support::threadCpuSeconds() - cpu0) +
-                (net.modeledCommSeconds(me) - comm0));
-    const double globalDelta = net.allReduceMax(me, localDelta);
-    if (globalDelta < params.tolerance) {
-      break;
-    }
-  }
-  if (roundsOut != nullptr) {
-    *roundsOut = rounds;
-  }
-  if (modeledSecondsOut != nullptr) {
-    *modeledSecondsOut = clusterSeconds;
-  }
-  return rank;
+  return runToFixpoint(program, net, me, "pagerank", setupSeconds, roundsOut,
+                       modeledSecondsOut);
 }
 
 std::vector<uint64_t> kCoreOnHost(comm::Network& net, comm::HostId me,
                                   const DistGraph& part, uint64_t k,
                                   uint32_t* roundsOut,
                                   double* modeledSecondsOut) {
-  requireCsrOrientation(part);
+  detail::requireCsrOrientation(part);
   SyncContext sync(net, me, part);
   const uint64_t numLocal = part.numLocalNodes();
   double clusterSeconds = 0.0;
@@ -396,7 +240,7 @@ std::vector<uint64_t> kCoreOnHost(comm::Network& net, comm::HostId me,
            e < part.graph.edgeEnd(lid); ++e) {
         const uint64_t v = part.graph.edgeDst(e);
         ++decrement[v];
-        touched.set(v);
+        touched.setSingleWriter(v);
       }
     }
     // Sum decrements into masters, apply, and broadcast changed degrees.
@@ -414,7 +258,7 @@ std::vector<uint64_t> kCoreOnHost(comm::Network& net, comm::HostId me,
         degree[lid] =
             degree[lid] > decrement[lid] ? degree[lid] - decrement[lid] : 0;
         decrement[lid] = 0;
-        degreeChanged.set(lid);
+        degreeChanged.setSingleWriter(lid);
       }
     }
     // Mirrors' leftover local decrements were shipped; reset them.
@@ -446,7 +290,7 @@ std::vector<uint64_t> kCoreOnHost(comm::Network& net, comm::HostId me,
 uint64_t triangleCountOnHost(comm::Network& net, comm::HostId me,
                              const DistGraph& part,
                              double* modeledSecondsOut) {
-  requireCsrOrientation(part);
+  detail::requireCsrOrientation(part);
   SyncContext sync(net, me, part);
   const uint64_t numLocal = part.numLocalNodes();
   const double cpu0 = support::threadCpuSeconds();

@@ -10,8 +10,10 @@
 //
 // bfs, sssp and cc share a min-propagation skeleton (Bellman-Ford-style
 // rounds with min-reduce and broadcast); pagerank is topological with
-// add-reduce of contributions. Sources for bfs/sssp default to the paper's
-// choice, the node with the highest out-degree.
+// add-reduce of contributions. Their superstep bodies live in
+// analytics/programs.h, shared with the resilient drivers. Sources for
+// bfs/sssp default to the paper's choice, the node with the highest
+// out-degree.
 #pragma once
 
 #include <cstdint>

@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -81,13 +82,16 @@ class SyncContext {
     guarded("reduceToMasters", [&] {
       // Send my dirty mirrors to each owner that has any of my mirrors.
       for (comm::HostId h = 0; h < net_.numHosts(); ++h) {
-        if (h == me_ || !net_.isAlive(h) || part_.myMirrorsByOwner[h].empty()) {
+        const auto& lids = part_.myMirrorsByOwner[h];
+        if (h == me_ || !net_.isAlive(h) || lids.empty()) {
           continue;
         }
         auto writer = net_.packedWriter(me_, h, comm::kTagAppReduce);
-        packDirty(part_.myMirrorsByOwner[h], values, dirty, writer,
-                  /*clearDirty=*/true);
+        packDirty(lids, values, dirty, writer);
         writer.commit();
+        for (const uint32_t pos : positions_) {
+          dirty.clearSingleWriter(lids[pos]);
+        }
       }
       net_.flushAggregated(me_);  // blocking on peer contributions next
       // Receive contributions for my masters from each host holding
@@ -97,16 +101,12 @@ class SyncContext {
           continue;
         }
         auto msg = net_.recvFrom(me_, h, comm::kTagAppReduce);
-        std::vector<uint32_t> positions;
-        std::vector<T> incoming;
-        support::deserializeAll(msg.payload, positions, incoming);
-        const auto& lids = part_.mirrorsOnHost[h];
-        for (size_t i = 0; i < positions.size(); ++i) {
-          const uint64_t lid = lids[positions[i]];
-          if (combine(values[lid], incoming[i])) {
-            changed.set(lid);
-          }
-        }
+        unpack<T>(msg.payload, part_.mirrorsOnHost[h],
+                  [&](uint64_t lid, const T& in) {
+                    if (combine(values[lid], in)) {
+                      changed.setSingleWriter(lid);
+                    }
+                  });
       }
     });
   }
@@ -125,8 +125,7 @@ class SyncContext {
           continue;
         }
         auto writer = net_.packedWriter(me_, h, comm::kTagAppBroadcast);
-        packDirty(part_.mirrorsOnHost[h], values, dirty, writer,
-                  /*clearDirty=*/false);
+        packDirty(part_.mirrorsOnHost[h], values, dirty, writer);
         writer.commit();
       }
       net_.flushAggregated(me_);  // blocking on peer broadcasts next
@@ -135,15 +134,11 @@ class SyncContext {
           continue;
         }
         auto msg = net_.recvFrom(me_, h, comm::kTagAppBroadcast);
-        std::vector<uint32_t> positions;
-        std::vector<T> incoming;
-        support::deserializeAll(msg.payload, positions, incoming);
-        const auto& lids = part_.myMirrorsByOwner[h];
-        for (size_t i = 0; i < positions.size(); ++i) {
-          const uint64_t lid = lids[positions[i]];
-          values[lid] = incoming[i];
-          changed.set(lid);
-        }
+        unpack<T>(msg.payload, part_.myMirrorsByOwner[h],
+                  [&](uint64_t lid, const T& in) {
+                    values[lid] = in;
+                    changed.setSingleWriter(lid);
+                  });
       }
     });
   }
@@ -177,6 +172,7 @@ class SyncContext {
         std::vector<std::vector<T>> payload;
         support::deserialize(msg.payload, payload);
         const auto& lids = part_.mirrorsOnHost[h];
+        requireListFits(payload.size(), lids.size());
         for (size_t i = 0; i < payload.size(); ++i) {
           auto& target = lists[lids[i]];
           target.insert(target.end(), payload[i].begin(), payload[i].end());
@@ -212,6 +208,7 @@ class SyncContext {
         std::vector<std::vector<T>> payload;
         support::deserialize(msg.payload, payload);
         const auto& lids = part_.myMirrorsByOwner[h];
+        requireListFits(payload.size(), lids.size());
         for (size_t i = 0; i < payload.size(); ++i) {
           lists[lids[i]] = std::move(payload[i]);
         }
@@ -250,48 +247,76 @@ class SyncContext {
     }
   }
 
-  // Serializes (position, value) pairs for the dirty subset of `lids` into
-  // any byte sink (a SendBuffer or a zero-copy comm::PackedWriter).
+  // Serializes the dirty subset of `lids` as two arrays, the positions in
+  // `lids` and their values, into any byte sink (a SendBuffer or a
+  // zero-copy comm::PackedWriter). The positions stay in positions_ for the
+  // caller; both arrays are built in scratch reused across rounds.
   template <typename T, support::ByteSink Buf>
   void packDirty(const std::vector<uint64_t>& lids, const std::vector<T>& values,
-                 support::DynamicBitset& dirty, Buf& buf,
-                 bool clearDirty) {
-    std::vector<uint32_t> positions;
-    std::vector<T> payload;
+                 const support::DynamicBitset& dirty, Buf& buf) {
+    positions_.clear();
     for (uint32_t pos = 0; pos < lids.size(); ++pos) {
-      const uint64_t lid = lids[pos];
-      if (dirty.test(lid)) {
-        positions.push_back(pos);
-        payload.push_back(values[lid]);
-        if (clearDirty) {
-          dirty.clear(lid);
-        }
+      if (dirty.test(lids[pos])) {
+        positions_.push_back(pos);
       }
     }
-    support::serializeAll(buf, positions, payload);
+    valueBytes_.resize(positions_.size() * sizeof(T));
+    uint8_t* out = valueBytes_.data();
+    for (const uint32_t pos : positions_) {
+      std::memcpy(out, &values[lids[pos]], sizeof(T));
+      out += sizeof(T);
+    }
+    const uint64_t count = positions_.size();
+    support::serialize(buf, positions_);
+    support::serialize(buf, count);
+    buf.appendBytes(valueBytes_.data(), valueBytes_.size());
   }
 
-  // packDirty with a const bitset (broadcast side).
-  template <typename T, support::ByteSink Buf>
-  void packDirty(const std::vector<uint64_t>& lids, const std::vector<T>& values,
-                 const support::DynamicBitset& dirty, Buf& buf,
-                 bool /*clearDirty*/) {
-    std::vector<uint32_t> positions;
-    std::vector<T> payload;
-    for (uint32_t pos = 0; pos < lids.size(); ++pos) {
-      const uint64_t lid = lids[pos];
-      if (dirty.test(lid)) {
-        positions.push_back(pos);
-        payload.push_back(values[lid]);
-      }
+  // Reads one packDirty message against the mirror list `lids` both sides
+  // agreed on and calls apply(lid, value) per pair. A peer's message is
+  // input, not trusted: arrays of different lengths or a position outside
+  // `lids` throw std::out_of_range.
+  template <typename T, typename Apply>
+  void unpack(support::RecvBuffer& buf, const std::vector<uint64_t>& lids,
+              Apply&& apply) {
+    support::deserialize(buf, positions_);
+    uint64_t count = 0;
+    support::deserialize(buf, count);
+    if (count != positions_.size()) {
+      badMessage(std::to_string(positions_.size()) + " positions but " +
+                 std::to_string(count) + " values");
     }
-    support::serializeAll(buf, positions, payload);
+    for (const uint32_t pos : positions_) {
+      if (pos >= lids.size()) {
+        badMessage("mirror position " + std::to_string(pos) +
+                   " outside a list of " + std::to_string(lids.size()));
+      }
+      T value;
+      support::deserialize(buf, value);
+      apply(lids[pos], value);
+    }
+  }
+
+  void requireListFits(size_t entries, size_t listSize) const {
+    if (entries > listSize) {
+      badMessage(std::to_string(entries) + " lists for a mirror list of " +
+                 std::to_string(listSize));
+    }
+  }
+
+  [[noreturn]] void badMessage(const std::string& what) const {
+    throw std::out_of_range("analytics sync: " + what + " on host " +
+                            std::to_string(me_));
   }
 
   comm::Network& net_;
   comm::HostId me_;
   const core::DistGraph& part_;
   uint64_t rounds_ = 0;
+  // Per-message scratch, kept across rounds so a sync allocates nothing
+  // once warm.
+  std::vector<uint32_t> positions_;
+  std::vector<uint8_t> valueBytes_;
   // Resolved once at construction when a process-wide obs sink is attached;
   // the shared_ptr keeps the cell alive across a later detach.
   std::shared_ptr<obs::MetricsRegistry> metricsKeepAlive_;

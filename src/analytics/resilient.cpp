@@ -2,15 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
-#include <functional>
 #include <stdexcept>
 
-#include "analytics/engine.h"
+#include "analytics/programs.h"
 #include "core/checkpoint.h"
 #include "core/degraded.h"
 #include "obs/obs.h"
-#include "support/bitset.h"
 #include "support/logging.h"
 #include "support/storage.h"
 
@@ -19,7 +16,6 @@ namespace cusp::analytics {
 namespace {
 
 using core::DistGraph;
-using support::DynamicBitset;
 
 // Checkpoints of different membership epochs must never mix: a snapshot at
 // superstep s written before an eviction and one written after describe
@@ -28,167 +24,6 @@ using support::DynamicBitset;
 std::string epochDir(const std::string& dir, uint32_t epoch) {
   return dir + "/e" + std::to_string(epoch);
 }
-
-// A superstep-structured vertex program the resilient driver can roll back:
-// init seeds values + frontier, superstep runs one BSP round (local compute
-// + sync + termination vote) and returns whether more work remains. Both
-// programs below reproduce the exact round structure of their algorithms.cpp
-// counterparts, so a fault-free resilient run is the plain run, byte for
-// byte.
-struct MinPropProgram {
-  using Value = uint64_t;
-
-  MinPropProgram(comm::Network& net, comm::HostId me, const DistGraph& part,
-                 std::function<uint64_t(uint64_t lid, uint64_t gid)> init,
-                 std::function<uint64_t(uint64_t value, uint64_t edge)> cand)
-      : net(net),
-        me(me),
-        part(part),
-        sync(net, me, part),
-        initFn(std::move(init)),
-        candidate(std::move(cand)) {}
-
-  void init(std::vector<uint64_t>& value, DynamicBitset& frontier) {
-    const uint64_t numLocal = part.numLocalNodes();
-    value.resize(numLocal);
-    frontier = DynamicBitset(numLocal);
-    for (uint64_t lid = 0; lid < numLocal; ++lid) {
-      value[lid] = initFn(lid, part.globalId(lid));
-      if (value[lid] != kInfinity) {
-        frontier.set(lid);
-      }
-    }
-  }
-
-  bool superstep(uint32_t, std::vector<uint64_t>& value,
-                 DynamicBitset& frontier) {
-    const uint64_t numLocal = part.numLocalNodes();
-    DynamicBitset dirty(numLocal);
-    std::vector<uint64_t> active;
-    frontier.collectSetBits(active);
-    frontier.resetAll();
-    for (uint64_t u : active) {
-      if (value[u] == kInfinity) {
-        continue;
-      }
-      for (uint64_t e = part.graph.edgeBegin(u); e < part.graph.edgeEnd(u);
-           ++e) {
-        const uint64_t v = part.graph.edgeDst(e);
-        const uint64_t proposal = candidate(value[u], e);
-        if (proposal < value[v]) {
-          value[v] = proposal;
-          dirty.set(v);
-        }
-      }
-    }
-    auto combineMin = [](uint64_t& acc, uint64_t in) {
-      if (in < acc) {
-        acc = in;
-        return true;
-      }
-      return false;
-    };
-    DynamicBitset masterChanged(numLocal);
-    sync.reduceToMasters<uint64_t>(value, dirty, combineMin, masterChanged);
-    std::vector<uint64_t> dirtyMasters;
-    dirty.collectSetBits(dirtyMasters);
-    for (uint64_t lid : dirtyMasters) {
-      if (part.isMaster(lid)) {
-        masterChanged.set(lid);
-      }
-      frontier.set(lid);
-    }
-    DynamicBitset mirrorUpdated(numLocal);
-    sync.broadcastToMirrors<uint64_t>(value, masterChanged, mirrorUpdated);
-    std::vector<uint64_t> updated;
-    masterChanged.collectSetBits(updated);
-    mirrorUpdated.collectSetBits(updated);
-    for (uint64_t lid : updated) {
-      frontier.set(lid);
-    }
-    return net.allReduceOr(me, frontier.any());
-  }
-
-  comm::Network& net;
-  comm::HostId me;
-  const DistGraph& part;
-  SyncContext sync;
-  std::function<uint64_t(uint64_t, uint64_t)> initFn;
-  std::function<uint64_t(uint64_t, uint64_t)> candidate;
-};
-
-struct PageRankProgram {
-  using Value = double;
-
-  PageRankProgram(comm::Network& net, comm::HostId me, const DistGraph& part,
-                  const PageRankParams& params)
-      : net(net),
-        me(me),
-        part(part),
-        sync(net, me, part),
-        params(params),
-        // Derived state is recomputed at the start of every attempt (it is
-        // cheap and layout-dependent), never checkpointed.
-        degree(globalOutDegreesOnHost(net, me, part)),
-        allMasters(part.numLocalNodes()) {
-    for (uint64_t lid = 0; lid < part.numMasters; ++lid) {
-      allMasters.set(lid);
-    }
-  }
-
-  void init(std::vector<double>& value, DynamicBitset& frontier) {
-    const uint64_t numLocal = part.numLocalNodes();
-    const double n = static_cast<double>(part.numGlobalNodes);
-    value.assign(numLocal, n > 0 ? 1.0 / n : 0.0);
-    frontier = DynamicBitset(numLocal);  // unused: pagerank is topological
-  }
-
-  bool superstep(uint32_t iter, std::vector<double>& value, DynamicBitset&) {
-    const uint64_t numLocal = part.numLocalNodes();
-    const double n = static_cast<double>(part.numGlobalNodes);
-    std::vector<double> accum(numLocal, 0.0);
-    DynamicBitset contributed(numLocal);
-    for (uint64_t u = 0; u < numLocal; ++u) {
-      if (degree[u] == 0 || part.graph.outDegree(u) == 0) {
-        continue;
-      }
-      const double share = value[u] / static_cast<double>(degree[u]);
-      for (uint64_t e = part.graph.edgeBegin(u); e < part.graph.edgeEnd(u);
-           ++e) {
-        const uint64_t v = part.graph.edgeDst(e);
-        accum[v] += share;
-        contributed.set(v);
-      }
-    }
-    DynamicBitset unusedChanged(numLocal);
-    sync.reduceToMasters<double>(
-        accum, contributed,
-        [](double& acc, double in) {
-          acc += in;
-          return true;
-        },
-        unusedChanged);
-    double localDelta = 0.0;
-    for (uint64_t lid = 0; lid < part.numMasters; ++lid) {
-      const double updated =
-          (1.0 - params.damping) / n + params.damping * accum[lid];
-      localDelta = std::max(localDelta, std::abs(updated - value[lid]));
-      value[lid] = updated;
-    }
-    DynamicBitset mirrorUpdated(numLocal);
-    sync.broadcastToMirrors<double>(value, allMasters, mirrorUpdated);
-    const double globalDelta = net.allReduceMax(me, localDelta);
-    return iter + 1 < params.maxIterations && globalDelta >= params.tolerance;
-  }
-
-  comm::Network& net;
-  comm::HostId me;
-  const DistGraph& part;
-  SyncContext sync;
-  PageRankParams params;
-  std::vector<uint64_t> degree;
-  DynamicBitset allMasters;
-};
 
 void atomicMax(std::atomic<uint32_t>& target, uint32_t value) {
   uint32_t current = target.load(std::memory_order_relaxed);
@@ -199,9 +34,9 @@ void atomicMax(std::atomic<uint32_t>& target, uint32_t value) {
 }
 
 // The resilient driver. `makeProgram(net, me, part)` builds the per-host
-// program instance inside each attempt (its constructor may communicate,
-// e.g. pagerank's degree exchange, and is covered by the same fault
-// handling as the supersteps).
+// program (analytics/programs.h) inside each attempt: its constructor may
+// communicate, e.g. pagerank's degree exchange, and is covered by the same
+// fault handling as the supersteps.
 template <typename T, typename MakeProgram>
 std::vector<T> runResilientImpl(std::span<const DistGraph> partitions,
                                 const ResilienceOptions& options,
@@ -365,9 +200,6 @@ std::vector<T> runResilientImpl(std::span<const DistGraph> partitions,
         net.enterPhase(me, 0);
         const DistGraph& part = parts[me];
         auto program = makeProgram(net, me, part);
-        std::vector<T> value;
-        DynamicBitset frontier;
-        program.init(value, frontier);
         if (resumePhase > 0) {
           // Replicated restore: every host loads every participant's
           // snapshot of the agreed superstep and applies the gids it holds
@@ -399,14 +231,20 @@ std::vector<T> runResilientImpl(std::span<const DistGraph> partitions,
             std::vector<uint64_t> frontierGids;
             support::deserializeAll(buf, snapSuperstep, gids, vals,
                                     frontierGids);
+            if (gids.size() != vals.size()) {
+              throw std::out_of_range(
+                  "analytics restore: snapshot of host " + std::to_string(r) +
+                  " pairs " + std::to_string(gids.size()) + " gids with " +
+                  std::to_string(vals.size()) + " values");
+            }
             for (size_t i = 0; i < gids.size(); ++i) {
               if (auto lid = part.localIdOf(gids[i])) {
-                value[*lid] = vals[i];
+                program.value[*lid] = vals[i];
               }
             }
             for (uint64_t gid : frontierGids) {
               if (auto lid = part.localIdOf(gid)) {
-                frontier.set(*lid);
+                program.frontier.setSingleWriter(*lid);
               }
             }
           }
@@ -420,9 +258,10 @@ std::vector<T> runResilientImpl(std::span<const DistGraph> partitions,
                                    "superstep " + std::to_string(s));
           if (superstepsCtr != nullptr) {
             superstepsCtr->add();
-            frontierHist->observe(static_cast<double>(frontier.count()));
+            frontierHist->observe(static_cast<double>(program.activeCount()));
           }
-          const bool more = program.superstep(s, value, frontier);
+          program.superstep();
+          const bool more = program.vote(s);
           if (checkpoints &&
               !checkpointingDisabled.load(std::memory_order_relaxed) &&
               ((s + 1) % interval == 0 || !more)) {
@@ -434,11 +273,11 @@ std::vector<T> runResilientImpl(std::span<const DistGraph> partitions,
             vals.reserve(part.numMasters);
             for (uint64_t lid = 0; lid < part.numMasters; ++lid) {
               gids.push_back(part.globalId(lid));
-              vals.push_back(value[lid]);
+              vals.push_back(program.value[lid]);
             }
             std::vector<uint64_t> frontierGids;
             std::vector<uint64_t> frontierLids;
-            frontier.collectSetBits(frontierLids);
+            program.frontier.collectSetBits(frontierLids);
             frontierGids.reserve(frontierLids.size());
             for (uint64_t lid : frontierLids) {
               frontierGids.push_back(part.globalId(lid));
@@ -486,7 +325,7 @@ std::vector<T> runResilientImpl(std::span<const DistGraph> partitions,
         // Masters hold the canonical values; master gid sets are disjoint
         // across alive ranks, so concurrent writes land on distinct slots.
         for (uint64_t lid = 0; lid < part.numMasters; ++lid) {
-          global[part.globalId(lid)] = value[lid];
+          global[part.globalId(lid)] = program.value[lid];
         }
       });
       const comm::VolumeStats volume = net.statsSnapshot();
@@ -617,12 +456,7 @@ std::vector<uint64_t> runBfsResilient(std::span<const DistGraph> partitions,
   return runResilientImpl<uint64_t>(
       partitions, options, report,
       [&](comm::Network& net, comm::HostId me, const DistGraph& part) {
-        return MinPropProgram(
-            net, me, part,
-            [sourceGid](uint64_t, uint64_t gid) {
-              return gid == sourceGid ? 0ull : kInfinity;
-            },
-            [](uint64_t value, uint64_t) { return value + 1; });
+        return detail::bfsProgram(net, me, part, sourceGid);
       });
 }
 
@@ -633,14 +467,7 @@ std::vector<uint64_t> runSsspResilient(std::span<const DistGraph> partitions,
   return runResilientImpl<uint64_t>(
       partitions, options, report,
       [&](comm::Network& net, comm::HostId me, const DistGraph& part) {
-        return MinPropProgram(
-            net, me, part,
-            [sourceGid](uint64_t, uint64_t gid) {
-              return gid == sourceGid ? 0ull : kInfinity;
-            },
-            [&part](uint64_t value, uint64_t edge) {
-              return value + part.graph.edgeData(edge);
-            });
+        return detail::ssspProgram(net, me, part, sourceGid);
       });
 }
 
@@ -650,10 +477,7 @@ std::vector<uint64_t> runCcResilient(std::span<const DistGraph> partitions,
   return runResilientImpl<uint64_t>(
       partitions, options, report,
       [&](comm::Network& net, comm::HostId me, const DistGraph& part) {
-        return MinPropProgram(
-            net, me, part,
-            [](uint64_t, uint64_t gid) { return gid; },
-            [](uint64_t value, uint64_t) { return value; });
+        return detail::ccProgram(net, me, part);
       });
 }
 
@@ -663,7 +487,7 @@ std::vector<double> runPageRankResilient(
   return runResilientImpl<double>(
       partitions, options, report,
       [&](comm::Network& net, comm::HostId me, const DistGraph& part) {
-        return PageRankProgram(net, me, part, params);
+        return detail::PageRankProgram(net, me, part, params);
       });
 }
 

@@ -194,22 +194,30 @@ std::optional<uint64_t> fileSizeOf(const std::string& path) {
   return size;
 }
 
-// Bounded-window read through the storage seam with typed error
+// Bounded-window read into `out` through the storage seam with typed error
 // conversion; a short read means the file is truncated relative to its own
 // validated header.
-std::vector<uint8_t> readRangeChecked(const std::string& path, uint64_t offset,
-                                      uint64_t length) {
-  std::optional<std::vector<uint8_t>> bytes;
+void readRangeChecked(const std::string& path, uint64_t offset,
+                      std::span<uint8_t> out) {
+  bool complete = false;
   try {
-    bytes = support::readFileRange(path, offset, length);
+    complete = support::readFileRange(path, offset, out);
   } catch (const support::StorageError& e) {
     throw GraphFileError(path, std::string("storage read failure (") +
                                    e.kindName() + ")");
   }
-  if (!bytes) {
+  if (!complete) {
     throw GraphFileError(path, "truncated file");
   }
-  return std::move(*bytes);
+}
+
+// readRangeChecked into the bytes of `values`.
+template <typename T>
+void readValuesChecked(const std::string& path, uint64_t offset,
+                       std::vector<T>& values) {
+  readRangeChecked(path, offset,
+                   {reinterpret_cast<uint8_t*>(values.data()),
+                    values.size() * sizeof(T)});
 }
 
 // Chunk size for streaming passes over on-disk edge arrays (CRC verify at
@@ -228,10 +236,8 @@ GraphFile GraphFile::openWindowed(const std::string& path) {
   if (fileBytes < 4 * sizeof(uint64_t)) {
     throw GraphFileError(path, "truncated header");
   }
-  const std::vector<uint8_t> headerBytes =
-      readRangeChecked(path, 0, 4 * sizeof(uint64_t));
-  uint64_t header[4];
-  std::memcpy(header, headerBytes.data(), sizeof(header));
+  std::vector<uint64_t> header(4);
+  readValuesChecked(path, 0, header);
   if (header[0] != kMagic) {
     throw GraphFileError(path, "bad magic");
   }
@@ -256,10 +262,8 @@ GraphFile GraphFile::openWindowed(const std::string& path) {
               payloadBytes - (file.numNodes_ + 1) * sizeof(uint64_t), path,
               "edges");
   const uint64_t rowBytes = (file.numNodes_ + 1) * sizeof(uint64_t);
-  const std::vector<uint8_t> rowImage =
-      readRangeChecked(path, 4 * sizeof(uint64_t), rowBytes);
   file.rowStart_.resize(file.numNodes_ + 1);
-  std::memcpy(file.rowStart_.data(), rowImage.data(), rowBytes);
+  readValuesChecked(path, 4 * sizeof(uint64_t), file.rowStart_);
   if (file.rowStart_.front() != 0 || file.rowStart_.back() != file.numEdges_ ||
       !std::is_sorted(file.rowStart_.begin(), file.rowStart_.end())) {
     throw GraphFileError(path, "corrupt row index");
@@ -279,16 +283,15 @@ GraphFile GraphFile::openWindowed(const std::string& path) {
   // with a bounded buffer instead of a whole-file read. Legacy files with
   // no footer are accepted unverified, as in load().
   if (fileBytes - payloadEnd >= support::kCrcFooterSize) {
-    const std::vector<uint8_t> footerBytes =
-        readRangeChecked(path, payloadEnd, support::kCrcFooterSize);
-    uint64_t footer[2];
-    std::memcpy(footer, footerBytes.data(), sizeof(footer));
+    std::vector<uint64_t> footer(support::kCrcFooterSize / sizeof(uint64_t));
+    readValuesChecked(path, payloadEnd, footer);
     if (footer[0] == support::kCrcFooterMagic) {
       uint32_t crc = 0;
+      std::vector<uint8_t> chunk;
       for (uint64_t offset = 0; offset < payloadEnd;
            offset += kStreamChunkBytes) {
-        const uint64_t len = std::min(kStreamChunkBytes, payloadEnd - offset);
-        const std::vector<uint8_t> chunk = readRangeChecked(path, offset, len);
+        chunk.resize(std::min(kStreamChunkBytes, payloadEnd - offset));
+        readValuesChecked(path, offset, chunk);
         crc = support::crc32Update(crc, chunk.data(), chunk.size());
       }
       if (footer[1] != static_cast<uint64_t>(crc)) {
@@ -310,12 +313,8 @@ std::span<const uint64_t> GraphFile::destWindow(
                                                      edgeEnd - edgeBegin);
   }
   buffer.resize(edgeEnd - edgeBegin);
-  const std::vector<uint8_t> bytes =
-      readRangeChecked(path_, destOffset_ + edgeBegin * sizeof(uint64_t),
-                       buffer.size() * sizeof(uint64_t));
-  if (!buffer.empty()) {
-    std::memcpy(buffer.data(), bytes.data(), bytes.size());
-  }
+  readValuesChecked(path_, destOffset_ + edgeBegin * sizeof(uint64_t),
+                    buffer);
   // Re-validate: the open-time CRC covers at-rest state, but this read may
   // itself have been faulted (injected bit rot), and defense-in-depth on a
   // fresh fetch is cheap.
@@ -341,12 +340,8 @@ std::span<const uint32_t> GraphFile::edgeDataWindow(
                                                         edgeEnd - edgeBegin);
   }
   buffer.resize(edgeEnd - edgeBegin);
-  const std::vector<uint8_t> bytes =
-      readRangeChecked(path_, edgeDataOffset_ + edgeBegin * sizeof(uint32_t),
-                       buffer.size() * sizeof(uint32_t));
-  if (!buffer.empty()) {
-    std::memcpy(buffer.data(), bytes.data(), bytes.size());
-  }
+  readValuesChecked(path_, edgeDataOffset_ + edgeBegin * sizeof(uint32_t),
+                    buffer);
   return buffer;
 }
 

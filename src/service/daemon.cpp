@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <utility>
 
 #include "core/degraded.h"
 #include "obs/obs.h"
@@ -392,7 +393,7 @@ void Daemon::finishJob(const std::shared_ptr<Job>& job, JobState state,
   doneCv_.notify_all();
 }
 
-JobResult Daemon::snapshot(const Job& job) const {
+JobResult Daemon::metadata(const Job& job) const {
   JobResult r;
   r.jobId = job.id;
   r.spec = job.spec;
@@ -402,8 +403,6 @@ JobResult Daemon::snapshot(const Job& job) const {
   r.latencySeconds = job.latencySeconds;
   r.partitionCacheHit = job.partitionCacheHit;
   r.recovered = job.recovered;
-  r.intValues = job.intValues;
-  r.doubleValues = job.doubleValues;
   return r;
 }
 
@@ -413,7 +412,7 @@ std::optional<JobResult> Daemon::status(uint64_t jobId) const {
   if (it == jobs_.end()) {
     return std::nullopt;
   }
-  return snapshot(*it->second);
+  return metadata(*it->second);
 }
 
 JobResult Daemon::wait(uint64_t jobId) {
@@ -428,7 +427,13 @@ JobResult Daemon::wait(uint64_t jobId) {
   }
   const std::shared_ptr<Job> job = it->second;
   doneCv_.wait(lock, [&] { return isTerminal(job->state) || killed_; });
-  return snapshot(*job);
+  JobResult r = metadata(*job);
+  if (isTerminal(job->state)) {
+    // The payload goes to this caller; the job keeps its metadata only.
+    r.intValues = std::exchange(job->intValues, {});
+    r.doubleValues = std::exchange(job->doubleValues, {});
+  }
+  return r;
 }
 
 bool Daemon::cancel(uint64_t jobId) {

@@ -90,11 +90,12 @@ class Daemon {
   // every refusal is a structured SubmitOutcome.
   SubmitOutcome submit(const JobSpec& spec);
 
-  // Snapshot of a job's current result (nullopt: unknown id).
+  // A job's current metadata, never its payload (nullopt: unknown id).
   std::optional<JobResult> status(uint64_t jobId) const;
 
-  // Blocks until the job is terminal (or the daemon is killed); returns the
-  // final snapshot.
+  // Blocks until the job is terminal (or the daemon is killed). The first
+  // call that sees the terminal state takes the job's payload; later calls
+  // get the same metadata with empty payloads (see JobResult).
   JobResult wait(uint64_t jobId);
 
   // Requests cooperative cancellation; returns false for unknown ids.
@@ -132,6 +133,7 @@ class Daemon {
     std::chrono::steady_clock::time_point submitTime;
     std::shared_ptr<support::CancelToken> cancel =
         std::make_shared<support::CancelToken>();
+    // Held from success until the first wait() takes them.
     std::vector<uint64_t> intValues;
     std::vector<double> doubleValues;
     double latencySeconds = 0.0;
@@ -143,7 +145,7 @@ class Daemon {
   void finishJob(const std::shared_ptr<Job>& job, JobState state,
                  JobError error);
   void journalAppend(JournalRecord record, bool failSoft);
-  JobResult snapshot(const Job& job) const;
+  JobResult metadata(const Job& job) const;  // everything but the payload
   void updateQueueGauge(size_t depth);
 
   std::shared_ptr<Engine> engine_;

@@ -127,7 +127,11 @@ struct JobError {
   std::string message;
 };
 
-// Terminal outcome of a job, returned by Daemon::wait/status.
+// Outcome of a job, returned by Daemon::wait/status. The daemon does not
+// keep payloads: the first wait() that returns a terminal state moves the
+// analytics values to its caller, and the job keeps only this metadata. A
+// later wait() returns the same metadata with empty payloads; status()
+// never carries them.
 struct JobResult {
   uint64_t jobId = 0;
   JobSpec spec;

@@ -1,9 +1,19 @@
-// Concurrent fixed-capacity dynamic bitset.
+// Fixed-capacity dynamic bitset with two write disciplines.
 //
-// Used to track "dirty" vertices in the analytics engine's master/mirror
-// synchronization and to record createMirror flags during edge assignment.
-// Set/test are safe under concurrent writers (atomic fetch_or on 64-bit
-// words); resize and reset are not concurrent with writers.
+//  * Shared: set() is an atomic fetch_or on the 64-bit word, safe under
+//    concurrent writers. The partitioner's sets that several threads of one
+//    host write (edge assignment's createMirror flags) use it.
+//  * Single-writer: setSingleWriter()/clearSingleWriter() are a relaxed
+//    load, an OR / AND-NOT and a relaxed store of the word, with no locked
+//    read-modify-write. They are valid only while ONE thread writes the
+//    bitset; concurrent readers still see whole words. Every analytics
+//    bitset (frontier, dirty, changed flags) belongs to one host thread —
+//    a host is one thread in comm::runHosts — so the analytics kernels use
+//    these, and the tsan-analytics lane of tests/run_sanitized.sh checks
+//    that no second writer appears.
+//
+// test() and the whole-set reads are relaxed loads; resize and resetAll are
+// not concurrent with writers.
 #pragma once
 
 #include <atomic>
@@ -48,10 +58,16 @@ class DynamicBitset {
     return (words_[index >> 6].load(std::memory_order_relaxed) & mask) != 0;
   }
 
-  // Not thread-safe with concurrent set().
-  void clear(uint64_t index) {
-    const uint64_t mask = 1ULL << (index & 63);
-    words_[index >> 6].fetch_and(~mask, std::memory_order_relaxed);
+  // Only for a bitset written by one thread (see the header comment).
+  void setSingleWriter(uint64_t index) {
+    auto& word = words_[index >> 6];
+    word.store(word.load(std::memory_order_relaxed) | (1ULL << (index & 63)),
+               std::memory_order_relaxed);
+  }
+  void clearSingleWriter(uint64_t index) {
+    auto& word = words_[index >> 6];
+    word.store(word.load(std::memory_order_relaxed) & ~(1ULL << (index & 63)),
+               std::memory_order_relaxed);
   }
 
   void resetAll() {

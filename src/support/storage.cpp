@@ -383,9 +383,8 @@ std::optional<std::vector<uint8_t>> readFileBytes(const std::string& path) {
   return bytes;
 }
 
-std::optional<std::vector<uint8_t>> readFileRange(const std::string& path,
-                                                  uint64_t offset,
-                                                  uint64_t length) {
+bool readFileRange(const std::string& path, uint64_t offset,
+                   std::span<uint8_t> out) {
   const auto fault = consult(StorageOp::kRead, path);
   if (fault.has_value() && fault->kind == StorageFaultKind::kReadFail) {
     throw StorageError(StorageError::Kind::kReadFailed, path,
@@ -393,31 +392,30 @@ std::optional<std::vector<uint8_t>> readFileRange(const std::string& path,
   }
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
-    return std::nullopt;
+    return false;
   }
   if (offset > static_cast<uint64_t>(std::numeric_limits<long>::max()) ||
       std::fseek(f, static_cast<long>(offset), SEEK_SET) != 0) {
     std::fclose(f);
-    return std::nullopt;
+    return false;
   }
-  std::vector<uint8_t> bytes(static_cast<size_t>(length));
   const size_t got =
-      bytes.empty() ? 0 : std::fread(bytes.data(), 1, bytes.size(), f);
+      out.empty() ? 0 : std::fread(out.data(), 1, out.size(), f);
   std::fclose(f);
-  if (got != bytes.size()) {
-    return std::nullopt;  // file shorter than offset + length: truncation
+  if (got != out.size()) {
+    return false;  // file shorter than offset + length: truncation
   }
   if (fault.has_value() && fault->kind == StorageFaultKind::kBitRot &&
-      !bytes.empty()) {
+      !out.empty()) {
     // Same deterministic byte choice as readFileBytes, salted with the
     // offset so distinct windows of one file rot at distinct positions.
     const uint64_t index =
-        hashU64((bytes.size() ^ offset) ^
+        hashU64((out.size() ^ offset) ^
                 (fault->occurrence * 0x9E3779B97F4A7C15ULL)) %
-        bytes.size();
-    bytes[index] ^= 0x40;
+        out.size();
+    out[index] ^= 0x40;
   }
-  return bytes;
+  return true;
 }
 
 StorageFaultPlan randomStorageFaultPlan(uint64_t seed, uint32_t numHosts,

@@ -53,6 +53,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -243,14 +244,14 @@ void atomicWriteFile(const std::string& path,
 // kBitRot flips one deterministically chosen byte of the returned image.
 std::optional<std::vector<uint8_t>> readFileBytes(const std::string& path);
 
-// Bounded-window read: `length` bytes starting at `offset`. Same fault
-// semantics as readFileBytes (each call counts as one kRead operation;
-// kBitRot flips one byte of the returned window). nullopt when the file is
-// missing or shorter than offset + length — windowed consumers size their
-// requests from a validated header, so a short read means truncation.
-std::optional<std::vector<uint8_t>> readFileRange(const std::string& path,
-                                                  uint64_t offset,
-                                                  uint64_t length);
+// Bounded-window read of `out.size()` bytes starting at `offset`, straight
+// into the caller's bytes. Same fault semantics as readFileBytes (each call
+// counts as one kRead operation; kBitRot flips one byte of `out`). False
+// when the file is missing or shorter than offset + out.size() — windowed
+// consumers size their requests from a validated header, so a short read
+// means truncation.
+bool readFileRange(const std::string& path, uint64_t offset,
+                   std::span<uint8_t> out);
 
 // Seeded random storage-fault plan for the fuzzer: up to `maxFaults` faults
 // over all six kinds, each pinned to one host's checkpoint files

@@ -7,7 +7,7 @@
 #
 # Usage: tests/run_sanitized.sh [asan-ubsan|tsan|ubsan|tsan-degraded|
 # tsan-chaos|tsan-obs|tsan-storage|tsan-splitbrain|asan-memory|
-# tsan-service|tsan-commbuf|asan-core|tsan-core]
+# tsan-service|tsan-commbuf|asan-core|tsan-core|tsan-analytics]
 # (default: both full suites).
 # `tsan-degraded` builds
 # the TSan preset but runs only the tests labeled `degraded` (eviction,
@@ -47,9 +47,14 @@
 # threadsPerHost > 1 every host splits each window chunk (the whole
 # resident window, or one streaming chunk) across threads whose buffered
 # senders live for the whole pass, and those threads share the dense
-# tables, the mirror bitsets and the insert cursors. `ubsan` is a standalone
-# UBSan build for when an ASan report needs to be separated from a UB
-# report.
+# tables, the mirror bitsets and the insert cursors. `tsan-analytics` runs
+# the `analytics` and `chaos` labels under TSan (test_analytics for the
+# plain drivers; test_corruption and test_chaos_pipeline for the resilient
+# ones): the superstep kernels set and clear their bitsets with
+# single-writer, non-locked word updates, which is correct only while each
+# bitset has one writer thread, and this lane is what checks that. `ubsan`
+# is a standalone UBSan build for when an ASan report needs to be separated
+# from a UB report.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -93,6 +98,9 @@ for preset in "${presets[@]}"; do
   elif [ "$preset" = "tsan-core" ]; then
     build_preset="tsan"
     label_args=(-L '^core$')
+  elif [ "$preset" = "tsan-analytics" ]; then
+    build_preset="tsan"
+    label_args=(-L '^(analytics|chaos)$')
   fi
   echo "==== [$preset] configure ===="
   cmake --preset "$build_preset"

@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <sstream>
 #include <tuple>
 
 #include "analytics/algorithms.h"
@@ -353,6 +355,63 @@ TEST(SyncContextTest, CleanBitsetsMoveNoData) {
   EXPECT_EQ(net.bytesSent(comm::kTagAppReduce), 2u * 16);  // two empty vecs
 }
 
+TEST(SyncContextTest, RejectsMalformedPeerMessages) {
+  // Host 1 hand-builds the message host 0 receives; every mirror list in
+  // the hand-built partition has one entry, so only position 0 is valid.
+  const auto parts = handbuilt::twoHostsOneSharedVertexEach();
+  const std::pair<std::vector<uint32_t>, std::vector<uint64_t>> bad[] = {
+      {{5}, {7}},     // position past the agreed mirror list
+      {{0}, {7, 8}},  // more values than positions
+      {{0, 0}, {7}},  // more positions than values
+  };
+  for (const comm::Tag tag : {comm::kTagAppReduce, comm::kTagAppBroadcast}) {
+    for (const auto& [positions, values] : bad) {
+      comm::Network net(2);
+      auto run = [&](comm::HostId me) {
+        if (me == 1) {
+          support::SendBuffer buf;
+          support::serializeAll(buf, positions, values);
+          net.sendReliable(1, 0, tag, std::move(buf));
+          return;
+        }
+        analytics::SyncContext sync(net, me, parts[me]);
+        std::vector<uint64_t> state = {10, 20};
+        support::DynamicBitset dirty(2);
+        support::DynamicBitset changed(2);
+        if (tag == comm::kTagAppReduce) {
+          sync.reduceToMasters<uint64_t>(
+              state, dirty, [](uint64_t&, uint64_t) { return true; },
+              changed);
+        } else {
+          sync.broadcastToMirrors<uint64_t>(state, dirty, changed);
+        }
+      };
+      EXPECT_THROW(comm::runHosts(net, run), std::out_of_range)
+          << comm::tagName(tag) << " with " << positions.size()
+          << " positions and " << values.size() << " values";
+    }
+    // The list syncs ship one list per mirror; two lists overrun the list.
+    comm::Network net(2);
+    auto run = [&](comm::HostId me) {
+      if (me == 1) {
+        support::SendBuffer buf;
+        support::serialize(buf, std::vector<std::vector<uint64_t>>{{1}, {2}});
+        net.sendReliable(1, 0, tag, std::move(buf));
+        return;
+      }
+      analytics::SyncContext sync(net, me, parts[me]);
+      std::vector<std::vector<uint64_t>> lists(2);
+      if (tag == comm::kTagAppReduce) {
+        sync.gatherListsToMasters(lists);
+      } else {
+        sync.broadcastListsToMirrors(lists);
+      }
+    };
+    EXPECT_THROW(comm::runHosts(net, run), std::out_of_range)
+        << comm::tagName(tag) << " with two lists";
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Engine structure.
 // ---------------------------------------------------------------------------
@@ -413,6 +472,113 @@ TEST(AnalyticsEngine, BfsOnSingleHostNeedsNoSync) {
   const auto actual = analytics::runBfs(parts, 0, &stats);
   EXPECT_EQ(actual, analytics::bfsReference(g, 0));
   EXPECT_EQ(stats.syncBytes, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Golden fingerprints: the outputs and sync traffic of the plain drivers on
+// a weighted kron stand-in, recorded while the plain and resilient drivers
+// still had separate superstep kernels (and so still checked each other).
+// Any change to a kernel, its scratch reuse or the sync wire format that
+// alters a value, a round count or a sync byte fails here.
+// ---------------------------------------------------------------------------
+
+uint64_t fnv1a(const std::vector<uint64_t>& words) {
+  uint64_t hash = 0xcbf29ce484222325ull;
+  for (const uint64_t word : words) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xffu;
+      hash *= 0x100000001b3ull;
+    }
+  }
+  return hash;
+}
+
+uint64_t fnv1a(const std::vector<double>& values) {
+  std::vector<uint64_t> bits(values.size());
+  std::transform(values.begin(), values.end(), bits.begin(),
+                 [](double v) { return std::bit_cast<uint64_t>(v); });
+  return fnv1a(bits);
+}
+
+struct GoldenRun {
+  std::string policy;
+  uint32_t hosts = 0;
+  std::string algo;
+  uint64_t digest = 0;
+  uint32_t rounds = 0;
+  uint64_t syncBytes = 0;
+  uint64_t syncMessages = 0;
+  bool operator==(const GoldenRun&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const GoldenRun& r) {
+  return os << "{\"" << r.policy << "\", " << r.hosts << ", \"" << r.algo
+            << "\", 0x" << std::hex << r.digest << std::dec << "ull, "
+            << r.rounds << ", " << r.syncBytes << ", " << r.syncMessages
+            << "}";
+}
+
+const std::vector<GoldenRun>& goldenRuns() {
+  static const std::vector<GoldenRun> runs = {
+      {"EEC", 2, "bfs", 0x5e89aadd67f262b5ull, 4, 8104, 16},
+      {"EEC", 2, "sssp", 0x90bd25451cf1e7fcull, 5, 12608, 20},
+      {"EEC", 2, "cc", 0xd029ca2d0b0ff3deull, 3, 9144, 12},
+      {"EEC", 2, "pagerank", 0xeebc24d1dce1162ull, 38, 333840, 156},
+      {"EEC", 4, "bfs", 0x5e89aadd67f262b5ull, 4, 17220, 96},
+      {"EEC", 4, "sssp", 0x90bd25451cf1e7fcull, 6, 27948, 144},
+      {"EEC", 4, "cc", 0xd029ca2d0b0ff3deull, 3, 24684, 72},
+      {"EEC", 4, "pagerank", 0x767a28d25d054f92ull, 38, 779688, 936},
+      {"HVC", 2, "bfs", 0x5e89aadd67f262b5ull, 4, 8104, 16},
+      {"HVC", 2, "sssp", 0x90bd25451cf1e7fcull, 5, 12608, 20},
+      {"HVC", 2, "cc", 0xd029ca2d0b0ff3deull, 3, 8856, 12},
+      {"HVC", 2, "pagerank", 0xeebc24d1dce1162ull, 38, 333840, 156},
+      {"HVC", 4, "bfs", 0x5e89aadd67f262b5ull, 4, 17220, 96},
+      {"HVC", 4, "sssp", 0x90bd25451cf1e7fcull, 6, 27948, 144},
+      {"HVC", 4, "cc", 0xd029ca2d0b0ff3deull, 3, 23724, 72},
+      {"HVC", 4, "pagerank", 0x767a28d25d054f92ull, 38, 779688, 936},
+      {"CVC", 2, "bfs", 0x5e89aadd67f262b5ull, 4, 8104, 16},
+      {"CVC", 2, "sssp", 0x90bd25451cf1e7fcull, 5, 12608, 20},
+      {"CVC", 2, "cc", 0xd029ca2d0b0ff3deull, 3, 9144, 12},
+      {"CVC", 2, "pagerank", 0xeebc24d1dce1162ull, 38, 333840, 156},
+      {"CVC", 4, "bfs", 0x5e89aadd67f262b5ull, 4, 12556, 64},
+      {"CVC", 4, "sssp", 0x90bd25451cf1e7fcull, 6, 20340, 96},
+      {"CVC", 4, "cc", 0xd029ca2d0b0ff3deull, 4, 19060, 64},
+      {"CVC", 4, "pagerank", 0x57a594aefa3613cbull, 38, 503568, 624},
+  };
+  return runs;
+}
+
+TEST(AnalyticsGolden, OutputsAndTrafficMatchRecordedFingerprints) {
+  const graph::CsrGraph g =
+      graph::withRandomWeights(graph::makeStandIn("kron", 6000, 7), 20, 5);
+  const graph::CsrGraph sym = g.symmetrized();
+  const uint64_t source = analytics::maxOutDegreeNode(g);
+  std::vector<GoldenRun> actual;
+  for (const std::string policy : {"EEC", "HVC", "CVC"}) {
+    for (const uint32_t hosts : {2u, 4u}) {
+      const auto parts = partitions(g, policy, hosts);
+      const auto symParts = partitions(sym, policy, hosts);
+      analytics::RunStats stats;
+      auto record = [&](const char* algo, uint64_t digest) {
+        actual.push_back({policy, hosts, algo, digest, stats.rounds,
+                          stats.syncBytes, stats.syncMessages});
+      };
+      record("bfs", fnv1a(analytics::runBfs(parts, source, &stats)));
+      record("sssp", fnv1a(analytics::runSssp(parts, source, &stats)));
+      record("cc", fnv1a(analytics::runCc(symParts, &stats)));
+      record("pagerank", fnv1a(analytics::runPageRank(parts, {}, &stats)));
+    }
+  }
+  ASSERT_EQ(actual.size(), goldenRuns().size()) << [&] {
+    std::ostringstream os;
+    for (const GoldenRun& r : actual) {
+      os << r << ",\n";
+    }
+    return os.str();
+  }();
+  for (size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(actual[i], goldenRuns()[i]);
+  }
 }
 
 }  // namespace

@@ -377,12 +377,18 @@ TEST(AnalyticsCorruptionTest, PageRankSyncCorruptionRecoversBitIdentical) {
 // ---------------------------------------------------------------------------
 
 TEST(ResilientAnalyticsTest, FaultFreeRunMatchesPlainDriver) {
-  const graph::CsrGraph g = graph::generateErdosRenyi(300, 1200, 17);
+  const graph::CsrGraph g =
+      graph::withRandomWeights(graph::generateErdosRenyi(300, 1200, 17), 20, 3);
   const auto parts = makePartitions(g, "EEC", 4);
   const uint64_t source = analytics::maxOutDegreeNode(g);
   analytics::ResilienceOptions options;  // no faults, no checkpoints
   const auto got = analytics::runBfsResilient(parts, source, options);
   EXPECT_EQ(got, analytics::runBfs(parts, source));
+  EXPECT_EQ(analytics::runSsspResilient(parts, source, options),
+            analytics::runSssp(parts, source));
+  const auto symParts = makePartitions(g.symmetrized(), "EEC", 4);
+  EXPECT_EQ(analytics::runCcResilient(symParts, options),
+            analytics::runCc(symParts));
 
   analytics::PageRankParams params;
   params.maxIterations = 30;

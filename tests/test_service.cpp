@@ -375,6 +375,27 @@ TEST(ServiceDaemonTest, MixedJobsRunToSuccess) {
   EXPECT_EQ(stats.failed, 0u);
 }
 
+TEST(ServiceDaemonTest, WaitHandsOverThePayload) {
+  // The daemon keeps no finished payloads: the first wait() that sees the
+  // terminal state takes the values, and later calls get the metadata only.
+  auto engine = makeEngine();
+  service::Daemon daemon(engine);
+  const auto bfs = daemon.submit(makeSpec(service::JobType::kBfs));
+  const auto pr = daemon.submit(makeSpec(service::JobType::kPageRank));
+  ASSERT_TRUE(bfs.accepted && pr.accepted);
+  for (const uint64_t id : {bfs.jobId, pr.jobId}) {
+    const auto first = daemon.wait(id);
+    ASSERT_EQ(first.state, service::JobState::kSucceeded);
+    EXPECT_FALSE(first.intValues.empty() && first.doubleValues.empty());
+    const auto again = daemon.wait(id);
+    EXPECT_EQ(again.state, service::JobState::kSucceeded);
+    EXPECT_EQ(again.runs, first.runs);
+    EXPECT_EQ(again.latencySeconds, first.latencySeconds);
+    EXPECT_TRUE(again.intValues.empty());
+    EXPECT_TRUE(again.doubleValues.empty());
+  }
+}
+
 TEST(ServiceDaemonTest, MalformedRequestsBounceWithExactKinds) {
   auto engine = makeEngine();
   service::Daemon daemon(engine);

@@ -191,9 +191,23 @@ TEST(Bitset, SetTestClearCount) {
   EXPECT_EQ(bits.count(), 4u);
   EXPECT_TRUE(bits.test(63));
   EXPECT_FALSE(bits.test(62));
-  bits.clear(63);
+  bits.clearSingleWriter(63);
   EXPECT_FALSE(bits.test(63));
   EXPECT_EQ(bits.count(), 3u);
+}
+
+TEST(Bitset, SingleWriterOpsTouchOnlyTheirBit) {
+  DynamicBitset bits(130);
+  for (uint64_t i : {0u, 1u, 63u, 64u, 129u}) {
+    bits.setSingleWriter(i);
+  }
+  bits.setSingleWriter(64);  // idempotent
+  EXPECT_EQ(bits.count(), 5u);
+  bits.clearSingleWriter(1);
+  bits.clearSingleWriter(2);  // already clear
+  std::vector<uint64_t> out;
+  bits.collectSetBits(out);
+  EXPECT_EQ(out, (std::vector<uint64_t>{0, 63, 64, 129}));
 }
 
 TEST(Bitset, CollectSetBitsAscending) {
