@@ -126,17 +126,12 @@ void BM_BufferedSend(benchmark::State& state) {
 }
 BENCHMARK(BM_BufferedSend)->Arg(0)->Arg(4 << 10)->Arg(256 << 10);
 
-// Per-message overhead of the send hot path, legacy vs aggregated: 64k
-// 8-byte records each committed as its OWN message (threshold 0, the
-// worst case BM_BufferedSend ablates). Legacy ships every record through
-// sendReliable — one mailbox lock and one condvar wake per record. The
-// aggregated path stages records in the per-destination channel and seals
-// ~1400-byte packets, so the mailbox is locked and the receiver woken
-// once per ~170 records. Arg(0) = legacy, Arg(1) = buffered.
+// Per-message overhead of the send hot path: 64k 8-byte records each
+// committed as its OWN message (threshold 0, the worst case BM_BufferedSend
+// ablates). Records are staged in the per-destination channel and sealed
+// into ~1400-byte packets, so the mailbox is locked and the receiver woken
+// once per ~170 records.
 void BM_PerMessageSendPath(benchmark::State& state) {
-  const bool buffered = state.range(0) != 0;
-  comm::ScopedAggregation scoped(
-      comm::AggregationPolicy{.enabled = buffered});
   const uint64_t records = 1 << 16;
   for (auto _ : state) {
     comm::Network net(2);
@@ -162,7 +157,7 @@ void BM_PerMessageSendPath(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * records));
 }
-BENCHMARK(BM_PerMessageSendPath)->Arg(0)->Arg(1);
+BENCHMARK(BM_PerMessageSendPath);
 
 void BM_RmatGeneration(benchmark::State& state) {
   graph::RmatParams params;

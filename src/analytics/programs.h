@@ -183,7 +183,20 @@ class PageRankProgram {
     value.assign(numLocal, n > 0 ? 1.0 / n : 0.0);
     frontier.resize(numLocal);  // unused: pagerank is topological
     accum_.resize(numLocal);
+    // Which proxies receive a share depends only on the partition and the
+    // degrees, so the set is built once; reduceToMasters clears the mirror
+    // bits it ships, so each superstep starts from a copy.
+    receivesShare_.resize(numLocal);
     contributed_.resize(numLocal);
+    for (uint64_t u = 0; u < numLocal; ++u) {
+      if (degree_[u] == 0) {
+        continue;
+      }
+      for (uint64_t e = part.graph.edgeBegin(u); e < part.graph.edgeEnd(u);
+           ++e) {
+        receivesShare_.setSingleWriter(part.graph.edgeDst(e));
+      }
+    }
     unused_.resize(numLocal);
     allMasters_.resize(numLocal);
     for (uint64_t lid = 0; lid < part.numMasters; ++lid) {
@@ -195,7 +208,7 @@ class PageRankProgram {
 
   void superstep() {
     std::fill(accum_.begin(), accum_.end(), 0.0);
-    contributed_.resetAll();
+    contributed_ = receivesShare_;
     // Scatter contributions along local out-edges.
     for (uint64_t u = 0; u < value.size(); ++u) {
       if (degree_[u] == 0 || part_.graph.outDegree(u) == 0) {
@@ -204,9 +217,7 @@ class PageRankProgram {
       const double share = value[u] / static_cast<double>(degree_[u]);
       for (uint64_t e = part_.graph.edgeBegin(u); e < part_.graph.edgeEnd(u);
            ++e) {
-        const uint64_t v = part_.graph.edgeDst(e);
-        accum_[v] += share;
-        contributed_.setSingleWriter(v);
+        accum_[part_.graph.edgeDst(e)] += share;
       }
     }
     // Sum partial accumulations into masters.
@@ -246,6 +257,7 @@ class PageRankProgram {
   PageRankParams params_;
   std::vector<uint64_t> degree_;
   std::vector<double> accum_;
+  support::DynamicBitset receivesShare_;  // proxies some local edge reaches
   support::DynamicBitset contributed_;
   support::DynamicBitset unused_;  // the syncs' changed flags; none is read
   support::DynamicBitset allMasters_;

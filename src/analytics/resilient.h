@@ -89,8 +89,8 @@ struct ResilienceOptions {
 
   comm::NetworkCostModel costModel;
 
-  // Send-aggregation override for the attempt networks; unset = the
-  // process-wide default (comm::defaultAggregation()).
+  // Send-aggregation tuning for the attempt networks; unset =
+  // comm::AggregationPolicy{}.
   std::optional<comm::AggregationPolicy> aggregation;
 
   // Cooperative cancellation (support/cancel.h), mirroring

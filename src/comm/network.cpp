@@ -54,22 +54,7 @@ void countPartitionEvent(const char* which, HostId host) {
   }
 }
 
-// Process-wide aggregation default, snapshotted by every Network at
-// construction (see setAggregation for per-instance overrides).
-std::mutex gAggregationMutex;
-AggregationPolicy gAggregationDefault{};
-
 }  // namespace
-
-void setDefaultAggregation(const AggregationPolicy& policy) {
-  std::lock_guard<std::mutex> lock(gAggregationMutex);
-  gAggregationDefault = policy;
-}
-
-AggregationPolicy defaultAggregation() {
-  std::lock_guard<std::mutex> lock(gAggregationMutex);
-  return gAggregationDefault;
-}
 
 Network::Network(uint32_t numHosts, NetworkCostModel costModel)
     : costModel_(costModel) {
@@ -87,7 +72,6 @@ Network::Network(uint32_t numHosts, NetworkCostModel costModel)
     alive_.push_back(std::make_unique<std::atomic<bool>>(true));
   }
   suspected_.assign(numHosts, std::vector<bool>(numHosts, false));
-  agg_ = defaultAggregation();
   aggChannels_.reserve(static_cast<size_t>(numHosts) * numHosts);
   for (size_t i = 0; i < static_cast<size_t>(numHosts) * numHosts; ++i) {
     aggChannels_.push_back(std::make_unique<detail::AggChannel>());
@@ -399,86 +383,170 @@ double Network::modeledCommSeconds(HostId host) const {
          1e-9;
 }
 
+void Network::checkHosts(HostId from, HostId to, const char* op) const {
+  if (from >= numHosts() || to >= numHosts()) {
+    throw std::out_of_range(std::string(op) + ": host id out of range");
+  }
+}
+
 bool Network::send(HostId from, HostId to, Tag tag,
                    support::SendBuffer&& buffer) {
-  if (from >= numHosts() || to >= numHosts()) {
-    throw std::out_of_range("Network::send: host id out of range");
+  checkHosts(from, to, "Network::send");
+  const Attempt sent = attempt(from, to, tag, buffer.size(), /*packed=*/false);
+  if (sent.fate == Attempt::Fate::kDropped) {
+    return false;
   }
+  if (sent.fate == Attempt::Fate::kCorrupt) {
+    throw MessageCorrupt(from, to, tag);
+  }
+  deliver(from, to, tag, std::move(buffer), sent);
+  return true;
+}
+
+void Network::sendReliable(HostId from, HostId to, Tag tag,
+                           support::SendBuffer&& buffer) {
+  checkHosts(from, to, "Network::sendReliable");
+  const Attempt sent = transmit(from, to, tag, buffer.size(), /*packed=*/false);
+  deliver(from, to, tag, std::move(buffer), sent);
+}
+
+void Network::deliver(HostId from, HostId to, Tag tag,
+                      support::SendBuffer&& buffer, const Attempt& sent) {
+  Mailbox& box = *mailboxes_[to];
+  {
+    std::lock_guard<std::mutex> lock(box.mutex);
+    enqueueLocked(box, Message{from, tag, support::RecvBuffer(buffer.release())},
+                  sent.delayScans, sent.duplicate);
+  }
+  box.arrived.notify_all();
+}
+
+void Network::enqueueLocked(Mailbox& box, Message&& msg, uint32_t delayScans,
+                            bool duplicate) {
+  const size_t len = msg.payload.size();
+  Queued entry;
+  entry.msg = std::move(msg);
+  if (injector_) {
+    ChannelState& channel = box.channels[{entry.msg.from, entry.msg.tag}];
+    entry.seq = ++channel.nextSeq;
+    channel.lastUse = ++box.channelUseCounter;
+    compactChannelsLocked(box);
+    entry.delayScans = delayScans;
+  }
+  if (duplicate) {
+    box.queue.push_back(entry);  // same seq: the filter suppresses one copy
+    backlogBytes_.fetch_add(len, std::memory_order_relaxed);
+  }
+  box.queue.push_back(std::move(entry));
+  backlogBytes_.fetch_add(len, std::memory_order_relaxed);
+}
+
+Network::Attempt Network::attempt(HostId from, HostId to, Tag tag, size_t len,
+                                  bool packed) {
   if (!isAlive(to) || !isAlive(from)) {
     // An evicted host never answers and never speaks: fail fast with the
-    // structured error instead of burning the retry budget (sendReliable
-    // does not catch this) or waiting out a recv timeout on the other side.
+    // structured error instead of burning the retry budget or waiting out a
+    // recv timeout on the other side.
     throw HostEvicted(from, isAlive(to) ? from : to, tag, membershipEpoch());
   }
   if (injector_) {
     injector_->onCrossing(from);  // may throw HostFailure
   }
-  chargeModeled(from, to, tag, buffer.size());
+  chargeModeled(from, to, tag, len);
   std::optional<FaultInjector::SendDecision> decision;
   if (injector_ && from != to) {
     decision = injector_->onSend(from, to, tag);
   }
-  if (decision && decision->action == FaultAction::kDrop) {
-    return false;  // sender-visible loss; no volume accounted
+  const auto drew = [&decision](FaultAction action) {
+    return decision.has_value() && decision->action == action;
+  };
+  Attempt out;
+  if (drew(FaultAction::kDrop)) {
+    out.fate = Attempt::Fate::kDropped;  // sender-visible loss; no volume
+    return out;
   }
-  // CRC framing: wrap the payload in a CRC32 footer, let an injected
-  // corruption flip a byte of the framed message in flight, and verify the
-  // frame at the mailbox boundary (the receiver NIC). The frame is stripped
-  // before the payload is queued, so the receive path never sees footers.
-  std::vector<uint8_t> wire = buffer.release();
-  const size_t payloadBytes = wire.size();
   const bool framed = from != to && crcFraming_.load(std::memory_order_relaxed);
-  if (framed) {
-    support::appendCrcFooter(wire);
-    if (decision && decision->action == FaultAction::kCorrupt) {
-      // Deterministic in-flight byte flip: position derived from the message
-      // identity so a given plan replays identically.
-      const uint64_t h = support::hashU64(
+  if (framed && drew(FaultAction::kCorrupt)) {
+    // The receiver's frame check fails exactly when the draw corrupts the
+    // frame: CRC32 catches every single-byte flip in the payload, and a flip
+    // inside the footer breaks its magic or its checksum. So the verdict is
+    // the draw's. The burned transmission is accounted with its footer,
+    // then NACKed.
+    accountSend(from, to, tag, len, support::kCrcFooterSize);
+    volume_.corruptionsDetected.fetch_add(1, std::memory_order_relaxed);
+    if (obs_.corruptionsDetected != nullptr) {
+      obs_.corruptionsDetected->add();
+    }
+    out.fate = Attempt::Fate::kCorrupt;
+    return out;
+  }
+  if (drew(FaultAction::kDelay)) {
+    out.delayScans = std::max(1u, decision->delayScans);
+  }
+  out.duplicate = drew(FaultAction::kDuplicate);
+  // A bare frame carries its own footer; packed messages share their
+  // packet's, accounted once at deliverPacket.
+  accountSend(from, to, tag, len,
+              framed && !packed ? support::kCrcFooterSize : 0);
+  return out;
+}
+
+Network::Attempt Network::transmit(HostId from, HostId to, Tag tag,
+                                   size_t len, bool packed) {
+  const uint32_t attempts = std::max(1u, retryPolicy_.maxAttempts);
+  bool sawCorruption = false;
+  for (uint32_t i = 0; i < attempts; ++i) {
+    const Attempt sent = attempt(from, to, tag, len, packed);
+    if (sent.fate == Attempt::Fate::kDelivered) {
+      if (sawCorruption) {
+        volume_.corruptionsRecovered.fetch_add(1, std::memory_order_relaxed);
+        if (obs_.corruptionsRecovered != nullptr) {
+          obs_.corruptionsRecovered->add();
+        }
+      }
+      return sent;
+    }
+    const bool last = i + 1 == attempts;
+    if (sent.fate == Attempt::Fate::kCorrupt) {
+      // A link-layer NACK: retransmit a clean copy like a drop; each retry
+      // is a new occurrence for the injector, so single-shot faults do not
+      // re-fire.
+      if (last) {
+        throw MessageCorrupt(from, to, tag);  // retry budget spent
+      }
+      sawCorruption = true;
+    }
+    if (!last) {
+      injector_->countRetry();
+      if (obs_.sendRetries != nullptr) {
+        obs_.sendRetries->add();
+      }
+      // Decorrelated jitter: each backoff window is scaled by a
+      // deterministic factor in [0.5, 1.5) derived from the message
+      // identity and attempt number, so the survivors of a healed
+      // partition (all retrying the same protocol step at once) spread out
+      // instead of re-colliding in synchronized waves. Deterministic, so a
+      // given plan still replays to identical modeled times.
+      const uint64_t jitterHash = support::hashU64(
           (static_cast<uint64_t>(from) << 48) ^
           (static_cast<uint64_t>(to) << 32) ^
-          (static_cast<uint64_t>(tag) << 8) ^ wire.size());
-      wire[h % wire.size()] ^= 0xA5;
-    }
-  }
-  accountSend(from, to, tag, payloadBytes,
-              framed ? wire.size() - payloadBytes : 0);
-  if (framed) {
-    // We framed this message ourselves, so anything but kVerified — a bad
-    // checksum, or a footer whose magic the flip destroyed — is detected
-    // corruption: discard the frame and NACK the sender.
-    if (support::verifyAndStripCrcFooter(wire) !=
-        support::CrcFooterStatus::kVerified) {
-      volume_.corruptionsDetected.fetch_add(1, std::memory_order_relaxed);
-      if (obs_.corruptionsDetected != nullptr) {
-        obs_.corruptionsDetected->add();
-      }
-      throw MessageCorrupt(from, to, tag);
-    }
-  }
-  Mailbox& box = *mailboxes_[to];
-  {
-    std::lock_guard<std::mutex> lock(box.mutex);
-    const size_t payloadLen = wire.size();
-    Queued entry;
-    entry.msg = Message{from, tag, support::RecvBuffer(std::move(wire))};
-    if (injector_) {
-      ChannelState& channel = box.channels[{from, tag}];
-      entry.seq = ++channel.nextSeq;
-      channel.lastUse = ++box.channelUseCounter;
-      compactChannelsLocked(box);
-      if (decision && decision->action == FaultAction::kDelay) {
-        entry.delayScans = std::max(1u, decision->delayScans);
+          (static_cast<uint64_t>(tag) << 8) ^ i);
+      const double jitter =
+          0.5 + static_cast<double>(jitterHash % 1024) / 1024.0;
+      const double backoffMicros =
+          retryPolicy_.backoffMicros * static_cast<double>(1u << i) * jitter;
+      if (backoffMicros > 0.0 && from != to && tag < kFirstReserved) {
+        modeledCommNanos_[from]->fetch_add(
+            static_cast<int64_t>(backoffMicros * 1000.0),
+            std::memory_order_relaxed);
       }
     }
-    if (decision && decision->action == FaultAction::kDuplicate) {
-      box.queue.push_back(entry);  // same seq: the filter suppresses one copy
-      backlogBytes_.fetch_add(payloadLen, std::memory_order_relaxed);
-    }
-    box.queue.push_back(std::move(entry));
-    backlogBytes_.fetch_add(payloadLen, std::memory_order_relaxed);
   }
-  box.arrived.notify_all();
-  return true;
+  // Exhausted retries toward one peer are the sender-side symptom of a cut
+  // link: let the quorum rule decide whether WE are the fenced side before
+  // surfacing the retry error (it throws MinorityPartition if so).
+  enforceQuorumOnFailure(from, to, tag);
+  throw SendRetriesExhausted(from, to, tag, attempts);
 }
 
 void Network::chargeModeled(HostId from, HostId to, Tag tag, size_t bytes) {
@@ -501,168 +569,7 @@ void Network::chargeModeled(HostId from, HostId to, Tag tag, size_t bytes) {
   }
 }
 
-void Network::sendReliable(HostId from, HostId to, Tag tag,
-                           support::SendBuffer&& buffer) {
-  if (!injector_) {
-    send(from, to, tag, std::move(buffer));
-    return;
-  }
-  const uint32_t attempts = std::max(1u, retryPolicy_.maxAttempts);
-  bool sawCorruption = false;
-  for (uint32_t attempt = 0; attempt < attempts; ++attempt) {
-    const bool last = attempt + 1 == attempts;
-    support::SendBuffer offer;
-    if (last) {
-      offer = std::move(buffer);
-    } else {
-      offer.appendBytes(buffer.data(), buffer.size());
-    }
-    bool delivered = false;
-    try {
-      delivered = send(from, to, tag, std::move(offer));
-    } catch (const MessageCorrupt&) {
-      // The frame failed verification at the receiving mailbox (a link-layer
-      // NACK). Retransmit a clean copy like a drop; each retry is a new
-      // occurrence for the injector, so single-shot faults do not re-fire.
-      if (last) {
-        throw;  // retry budget spent; surface the structured error
-      }
-      sawCorruption = true;
-    }
-    if (delivered) {
-      if (sawCorruption) {
-        volume_.corruptionsRecovered.fetch_add(1, std::memory_order_relaxed);
-        if (obs_.corruptionsRecovered != nullptr) {
-          obs_.corruptionsRecovered->add();
-        }
-      }
-      return;
-    }
-    if (!last) {
-      injector_->countRetry();
-      if (obs_.sendRetries != nullptr) {
-        obs_.sendRetries->add();
-      }
-      // Decorrelated jitter: each backoff window is scaled by a
-      // deterministic factor in [0.5, 1.5) derived from the message
-      // identity and attempt number, so the survivors of a healed
-      // partition (all retrying the same protocol step at once) spread out
-      // instead of re-colliding in synchronized waves. Deterministic, so a
-      // given plan still replays to identical modeled times.
-      const uint64_t jitterHash = support::hashU64(
-          (static_cast<uint64_t>(from) << 48) ^
-          (static_cast<uint64_t>(to) << 32) ^
-          (static_cast<uint64_t>(tag) << 8) ^ attempt);
-      const double jitter =
-          0.5 + static_cast<double>(jitterHash % 1024) / 1024.0;
-      const double backoffMicros =
-          retryPolicy_.backoffMicros * static_cast<double>(1u << attempt) *
-          jitter;
-      if (backoffMicros > 0.0 && from != to && tag < kFirstReserved) {
-        modeledCommNanos_[from]->fetch_add(
-            static_cast<int64_t>(backoffMicros * 1000.0),
-            std::memory_order_relaxed);
-      }
-    }
-  }
-  // Exhausted retries toward one peer are the sender-side symptom of a cut
-  // link: let the quorum rule decide whether WE are the fenced side before
-  // surfacing the retry error (it throws MinorityPartition if so).
-  enforceQuorumOnFailure(from, to, tag);
-  throw SendRetriesExhausted(from, to, tag, attempts);
-}
-
 // --- send aggregation ------------------------------------------------------
-
-void Network::packedCommitDraws(HostId from, HostId to, Tag tag, size_t len,
-                                uint32_t* delayScans, bool* duplicate) {
-  *delayScans = 0;
-  *duplicate = false;
-  if (!injector_) {
-    if (!isAlive(to) || !isAlive(from)) {
-      throw HostEvicted(from, isAlive(to) ? from : to, tag, membershipEpoch());
-    }
-    chargeModeled(from, to, tag, len);
-    accountSend(from, to, tag, len, 0);
-    return;
-  }
-  // Replay the legacy sendReliable attempt loop verbatim — same alive
-  // checks, injector draws, cost charges, retry backoff hash and error
-  // surface per attempt — so every historical FaultPlan seed draws the same
-  // sequence whether the message ships packed or bare. Only the mailbox
-  // enqueue is deferred: a delivered draw records its delay/duplicate
-  // outcome in the meta, re-applied at packet-unpack time.
-  const uint32_t attempts = std::max(1u, retryPolicy_.maxAttempts);
-  const bool framed = crcFraming_.load(std::memory_order_relaxed);
-  bool sawCorruption = false;
-  for (uint32_t attempt = 0; attempt < attempts; ++attempt) {
-    const bool last = attempt + 1 == attempts;
-    if (!isAlive(to) || !isAlive(from)) {
-      throw HostEvicted(from, isAlive(to) ? from : to, tag, membershipEpoch());
-    }
-    injector_->onCrossing(from);
-    chargeModeled(from, to, tag, len);
-    const auto decision = injector_->onSend(from, to, tag);
-    bool delivered = false;
-    if (decision && decision->action == FaultAction::kDrop) {
-      // Sender-visible loss; retry below.
-    } else if (framed && decision &&
-               decision->action == FaultAction::kCorrupt) {
-      // The framed attempt fails verification at the receiver NIC: the
-      // burned transmission is accounted with its own footer, then NACKed
-      // and retransmitted (exactly the legacy MessageCorrupt round trip).
-      accountSend(from, to, tag, len, support::kCrcFooterSize);
-      volume_.corruptionsDetected.fetch_add(1, std::memory_order_relaxed);
-      if (obs_.corruptionsDetected != nullptr) {
-        obs_.corruptionsDetected->add();
-      }
-      if (last) {
-        throw MessageCorrupt(from, to, tag);
-      }
-      sawCorruption = true;
-    } else {
-      delivered = true;
-      if (decision && decision->action == FaultAction::kDelay) {
-        *delayScans = std::max(1u, decision->delayScans);
-      }
-      if (decision && decision->action == FaultAction::kDuplicate) {
-        *duplicate = true;
-      }
-      accountSend(from, to, tag, len, 0);
-    }
-    if (delivered) {
-      if (sawCorruption) {
-        volume_.corruptionsRecovered.fetch_add(1, std::memory_order_relaxed);
-        if (obs_.corruptionsRecovered != nullptr) {
-          obs_.corruptionsRecovered->add();
-        }
-      }
-      return;
-    }
-    if (!last) {
-      injector_->countRetry();
-      if (obs_.sendRetries != nullptr) {
-        obs_.sendRetries->add();
-      }
-      const uint64_t jitterHash = support::hashU64(
-          (static_cast<uint64_t>(from) << 48) ^
-          (static_cast<uint64_t>(to) << 32) ^
-          (static_cast<uint64_t>(tag) << 8) ^ attempt);
-      const double jitter =
-          0.5 + static_cast<double>(jitterHash % 1024) / 1024.0;
-      const double backoffMicros =
-          retryPolicy_.backoffMicros * static_cast<double>(1u << attempt) *
-          jitter;
-      if (backoffMicros > 0.0 && from != to && tag < kFirstReserved) {
-        modeledCommNanos_[from]->fetch_add(
-            static_cast<int64_t>(backoffMicros * 1000.0),
-            std::memory_order_relaxed);
-      }
-    }
-  }
-  enforceQuorumOnFailure(from, to, tag);
-  throw SendRetriesExhausted(from, to, tag, attempts);
-}
 
 void Network::finishPackedCommit(detail::AggChannel& ch, HostId from,
                                  HostId to, Tag tag, size_t start) {
@@ -679,10 +586,9 @@ void Network::finishPackedCommit(detail::AggChannel& ch, HostId from,
     ch.bytes = std::move(tail);
     start = 0;
   }
-  uint32_t delayScans = 0;
-  bool duplicate = false;
+  Attempt sent;
   try {
-    packedCommitDraws(from, to, tag, len, &delayScans, &duplicate);
+    sent = transmit(from, to, tag, len, /*packed=*/true);
   } catch (...) {
     // The message never shipped (evicted peer, exhausted retries, terminal
     // corruption): un-stage its bytes so the channel holds only messages
@@ -696,8 +602,8 @@ void Network::finishPackedCommit(detail::AggChannel& ch, HostId from,
   detail::AggChannel::Meta meta;
   meta.tag = tag;
   meta.len = static_cast<uint32_t>(len);
-  meta.delayScans = delayScans;
-  meta.duplicate = duplicate;
+  meta.delayScans = sent.delayScans;
+  meta.duplicate = sent.duplicate;
   ch.metas.push_back(meta);
   aggVolume_.pendingBytes.fetch_add(len, std::memory_order_relaxed);
   setPendingGauge();
@@ -816,23 +722,11 @@ void Network::deliverPacket(HostId from, HostId to,
     std::lock_guard<std::mutex> lock(box.mutex);
     size_t offset = 0;
     for (const auto& meta : metas) {
-      Queued entry;
-      entry.msg = Message{from, meta.tag,
-                          support::RecvBuffer(blobPtr, offset, meta.len)};
+      enqueueLocked(box,
+                    Message{from, meta.tag,
+                            support::RecvBuffer(blobPtr, offset, meta.len)},
+                    meta.delayScans, meta.duplicate);
       offset += meta.len;
-      if (injector_) {
-        ChannelState& channel = box.channels[{from, meta.tag}];
-        entry.seq = ++channel.nextSeq;
-        channel.lastUse = ++box.channelUseCounter;
-        compactChannelsLocked(box);
-        entry.delayScans = meta.delayScans;
-      }
-      if (meta.duplicate) {
-        box.queue.push_back(entry);  // same seq: the filter suppresses one
-        backlogBytes_.fetch_add(meta.len, std::memory_order_relaxed);
-      }
-      box.queue.push_back(std::move(entry));
-      backlogBytes_.fetch_add(meta.len, std::memory_order_relaxed);
     }
   }
   box.arrived.notify_all();
@@ -854,15 +748,18 @@ void Network::pullAgedIncoming(HostId me) {
   }
 }
 
+void Network::checkPackedRoute(HostId from, HostId to, Tag tag,
+                               const char* op) const {
+  checkHosts(from, to, op);
+  if (from == to || tag >= kFirstReserved) {
+    throw std::invalid_argument(std::string(op) +
+                                ": self-sends and reserved tags go bare");
+  }
+}
+
 void Network::sendPacked(HostId from, HostId to, Tag tag,
                          support::SendBuffer&& buffer) {
-  if (from >= numHosts() || to >= numHosts()) {
-    throw std::out_of_range("Network::sendPacked: host id out of range");
-  }
-  if (!aggregatesTag(from, to, tag)) {
-    sendReliable(from, to, tag, std::move(buffer));
-    return;
-  }
+  checkPackedRoute(from, to, tag, "Network::sendPacked");
   detail::AggChannel& ch = aggChannel(from, to);
   std::lock_guard<std::mutex> lock(ch.mutex);
   if (buffer.size() >= agg_.packetBytes) {
@@ -870,9 +767,7 @@ void Network::sendPacked(HostId from, HostId to, Tag tag,
     // a packet blob of its own — no copy through the channel.
     flushChannelLocked(ch, from, to, FlushCause::kSize);
     const size_t len = buffer.size();
-    uint32_t delayScans = 0;
-    bool duplicate = false;
-    packedCommitDraws(from, to, tag, len, &delayScans, &duplicate);
+    const Attempt sent = transmit(from, to, tag, len, /*packed=*/true);
     if (len > agg_.packetBytes) {
       aggVolume_.oversizedMessages.fetch_add(1, std::memory_order_relaxed);
       if (obs_.aggOversized != nullptr) {
@@ -882,8 +777,8 @@ void Network::sendPacked(HostId from, HostId to, Tag tag,
     std::vector<detail::AggChannel::Meta> metas(1);
     metas[0].tag = tag;
     metas[0].len = static_cast<uint32_t>(len);
-    metas[0].delayScans = delayScans;
-    metas[0].duplicate = duplicate;
+    metas[0].delayScans = sent.delayScans;
+    metas[0].duplicate = sent.duplicate;
     deliverPacket(from, to, buffer.release(), std::move(metas),
                   FlushCause::kSize);
     return;
@@ -1269,11 +1164,9 @@ void Network::barrier(HostId me) {
   // host — 0 on full membership) using reserved tags; payloads are empty so
   // barriers contribute only message counts to collective stats.
   faultPoint(me);
-  if (agg_.enabled) {
-    // A barrier is a phase edge: everything committed before it must be
-    // visible after it, so ship every pending aggregation channel first.
-    flushAggregated(me);
-  }
+  // A barrier is a phase edge: everything committed before it must be
+  // visible after it, so ship every pending aggregation channel first.
+  flushAggregated(me);
   if (numAliveHosts() <= 1) {
     return;
   }

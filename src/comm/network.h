@@ -23,25 +23,30 @@
 //    receiver-side per-channel sequence filter) or delayed (held back for a
 //    few receiver scan cycles, preserving per-channel FIFO), and hosts can
 //    crash (HostFailure thrown at a send/recv/barrier crossing).
-//  * sendReliable() retries dropped messages under the network RetryPolicy
-//    with modeled exponential backoff; exhaustion raises
-//    SendRetriesExhausted. All CuSP protocol sends go through it.
+//  * Every cross-host message, bare or packed, goes through one attempt
+//    body (alive check, crash crossing, modeled cost, fault draw, volume
+//    accounting) and one retry loop over it. send() is a single attempt;
+//    sendReliable() and every packed commit run the loop, which retries
+//    dropped and corrupted attempts under the network RetryPolicy with
+//    modeled exponential backoff; exhaustion raises SendRetriesExhausted.
 //  * setRecvTimeout() bounds every blocking receive; expiry raises
 //    NetworkStalled with a report naming each blocked host and its tag
 //    instead of hanging forever.
 //
 // Wire integrity (CRC framing; on automatically whenever an injector is
 // attached, switchable explicitly with setCrcFraming):
-//  * Every cross-host message is framed with a CRC32 footer
-//    (support/crc32.h) computed over the serialized payload. The frame is
-//    verified at the receiving mailbox — the simulation's equivalent of the
-//    receiver NIC's frame check — and stripped before the payload is
-//    queued, so applications always see verified bytes.
-//  * An injected kCorrupt fault flips a deterministic byte of the framed
-//    message in flight. The verification failure discards the frame and
-//    surfaces on the sender as MessageCorrupt (a link-layer NACK);
-//    sendReliable retransmits a clean copy transparently. Detected and
-//    retry-recovered corruptions are counted in VolumeStats.
+//  * Every cross-host frame carries a CRC32 footer (support/crc32.h): a
+//    bare message its own 16 bytes, a packet one footer plus an 8-byte
+//    header per message. Corruption is drawn per message attempt: a
+//    kCorrupt draw flips one byte of that message's frame in flight.
+//    CRC32 catches every single-byte flip, and a flip inside the footer
+//    breaks its magic or its checksum, so the receiver NIC's check fails
+//    exactly when the draw is kCorrupt; the attempt takes its verdict from
+//    the draw instead of flipping and re-checking bytes.
+//  * A failed check discards the frame and surfaces on the sender as
+//    MessageCorrupt (a link-layer NACK); the retry loop retransmits a clean
+//    copy transparently. Detected and retry-recovered corruptions are
+//    counted in VolumeStats.
 //  * Framing bytes are accounted separately (VolumeStats::framingBytes) so
 //    per-tag payload accounting stays byte-identical with framing on or
 //    off — and so the framing overhead itself is directly measurable.
@@ -61,12 +66,15 @@
 //    which every alive host exchanges and confirms the (epoch, alive set)
 //    view before the survivors proceed.
 //
-// Send aggregation (the buffered, batched hot path; on by default):
+// Send aggregation (the buffered, batched hot path; the only mode for
+// protocol traffic):
 //  * Protocol senders obtain a PackedWriter (packedWriter()) that serializes
 //    RECORDS STRAIGHT INTO the per-(source, destination) aggregation buffer
 //    — no intermediate per-message vector — and commit() seals the record
 //    as one logical message. BufferedSender flushes ride the same path via
-//    sendPacked().
+//    sendPacked(). Self-sends and reserved tags are refused there; the
+//    bare send()/sendReliable() stay for collectives, barriers and other
+//    callers that need a synchronous send.
 //  * A channel ships as one multi-message PACKET once it reaches
 //    AggregationPolicy::packetBytes (~1400 B, the Gluon buffered.cpp
 //    lineage), when the attached MemoryBudget reports pressure, at every
@@ -74,16 +82,15 @@
 //    ::flushAll(), runHosts exit), or — opt-in — when a blocking receiver
 //    pulls channels older than AggregationPolicy::maxAgeSeconds.
 //  * One CRC32 frames the whole packet (framing = one footer plus an 8-byte
-//    per-message header, accounted in VolumeStats::framingBytes as today);
+//    per-message header, accounted in VolumeStats::framingBytes);
 //    unpacked messages are zero-copy views into the shared packet blob, and
 //    a drained packet wakes the consumer ONCE, not per message.
-//  * Fault semantics are preserved at message granularity: injector draws
-//    (drop/duplicate/delay/corrupt, crossings, retries, modeled cost and
-//    backoff) happen at commit() time in exactly the per-message order the
-//    legacy sendReliable path used, so every FaultPlan seed keeps its
-//    historical meaning; the duplicate filter, sequence assignment and
-//    delay scans are re-seated at packet-unpack time. Bare send()/
-//    sendReliable() keep the legacy immediate path bit-for-bit.
+//  * Fault semantics are preserved at message granularity: a commit runs
+//    the same retry loop as sendReliable (drop/duplicate/delay/corrupt
+//    draws, crossings, retries, modeled cost and backoff) at commit() time,
+//    so every FaultPlan seed draws the same sequence packed or bare. Only
+//    the enqueue moves: sequence assignment, the duplicate filter and delay
+//    scans are applied when the packet is unpacked.
 #pragma once
 
 #include <atomic>
@@ -97,6 +104,7 @@
 #include <mutex>
 #include <optional>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "comm/fault.h"
@@ -213,37 +221,14 @@ struct NetworkCostModel {
   double bandwidthMBps = 0.0;       // per-byte cost; 0 = infinite bandwidth
 };
 
-// Tuning of the buffered send path (see "Send aggregation" above).
-// maxAgeSeconds defaults to 0 (no receiver-side age pull): the default
+// Tuning of the buffered send path (see "Send aggregation" above); every
+// Network starts at AggregationPolicy{}. maxAgeSeconds defaults to 0 (no receiver-side age pull): the default
 // flush causes are all program-order deterministic, which is what keeps the
 // obs counter/histogram determinism guarantee intact. Tests and latency-
 // sensitive callers opt into the age bound explicitly.
 struct AggregationPolicy {
-  bool enabled = true;
   size_t packetBytes = 1400;   // seal a packet once a channel reaches this
   double maxAgeSeconds = 0.0;  // >0: blocked receivers pull channels this old
-};
-
-// Process-wide default applied to every Network at construction (override
-// per instance with setAggregation before traffic starts). The seam lets
-// whole pipelines — partitioner, analytics, service — switch between the
-// buffered and legacy paths without threading a knob through every layer.
-void setDefaultAggregation(const AggregationPolicy& policy);
-AggregationPolicy defaultAggregation();
-
-// RAII seam override for tests (differential buffered-vs-legacy runs).
-class ScopedAggregation {
- public:
-  explicit ScopedAggregation(const AggregationPolicy& policy)
-      : saved_(defaultAggregation()) {
-    setDefaultAggregation(policy);
-  }
-  ~ScopedAggregation() { setDefaultAggregation(saved_); }
-  ScopedAggregation(const ScopedAggregation&) = delete;
-  ScopedAggregation& operator=(const ScopedAggregation&) = delete;
-
- private:
-  AggregationPolicy saved_;
 };
 
 // Why a channel was flushed into a packet.
@@ -309,33 +294,35 @@ class Network {
 
   // --- point to point ---
 
-  // Moves `buffer` to host `to`'s mailbox. Self-sends are allowed and
-  // delivered like any other message, but are NOT counted in the volume
-  // statistics (no bytes cross the network). Returns false iff the attached
-  // fault injector dropped the message (sender-visible loss); always true
-  // on a fault-free network. With CRC framing on, a message corrupted in
-  // flight fails frame verification at the receiving mailbox and throws
-  // MessageCorrupt (the link-layer NACK sendReliable retries on).
+  // One transmission attempt that moves `buffer` to host `to`'s mailbox.
+  // Self-sends are allowed and delivered like any other message, but are
+  // NOT counted in the volume statistics (no bytes cross the network).
+  // Returns false iff the attached fault injector dropped the message
+  // (sender-visible loss); always true on a fault-free network. With CRC
+  // framing on, a message corrupted in flight fails the receiver's frame
+  // check and throws MessageCorrupt (the link-layer NACK sendReliable
+  // retries on).
   bool send(HostId from, HostId to, Tag tag, support::SendBuffer&& buffer);
 
-  // send() with bounded retry under the network RetryPolicy: a dropped
-  // message is re-offered with modeled exponential backoff charged to the
-  // sender; throws SendRetriesExhausted once the attempts are spent. All
-  // partitioner/engine protocol sends use this.
+  // send() under the network RetryPolicy: a dropped or corrupted attempt is
+  // retried with modeled exponential backoff charged to the sender; throws
+  // SendRetriesExhausted (or MessageCorrupt) once the attempts are spent.
+  // The bare synchronous path of collectives and barriers.
   void sendReliable(HostId from, HostId to, Tag tag,
                     support::SendBuffer&& buffer);
 
   // --- buffered hot path (send aggregation) ---
 
-  // Zero-copy buffered send: serialize into the returned writer and
-  // commit(). Falls back to a plain sendReliable when aggregation is
-  // disabled, for self-sends, and for reserved tags, so call sites stay
-  // uniform. See the PackedWriter class below.
+  // Zero-copy buffered send to another host on a user tag: serialize into
+  // the returned writer and commit(). Self-sends and reserved tags throw
+  // std::invalid_argument; they go through send()/sendReliable(). See the
+  // PackedWriter class below.
   PackedWriter packedWriter(HostId from, HostId to, Tag tag);
 
   // sendReliable semantics over the aggregation path: `buffer` becomes one
   // logical message in the (from, to) channel. A buffer of packetBytes or
-  // more ships immediately as its own packet with no extra copy.
+  // more ships immediately as its own packet with no extra copy. Same
+  // target rules as packedWriter().
   void sendPacked(HostId from, HostId to, Tag tag,
                   support::SendBuffer&& buffer);
 
@@ -601,20 +588,44 @@ class Network {
     uint64_t channelUseCounter = 0;               // LRU clock
   };
 
+  // What one transmission attempt did to a message. A delivered attempt
+  // carries the injector's delay and duplicate outcome, applied when the
+  // message is enqueued (bare) or unpacked from its packet (packed).
+  struct Attempt {
+    enum class Fate : uint8_t { kDelivered, kDropped, kCorrupt };
+    Fate fate = Fate::kDelivered;
+    uint32_t delayScans = 0;
+    bool duplicate = false;
+  };
+
   Message recvImpl(HostId me, Tag tag, HostId from);
+  void checkHosts(HostId from, HostId to, const char* op) const;
+  // One attempt at moving a `len`-byte message, in this order: the alive
+  // check (HostEvicted), the crash crossing, the modeled cost, then — for a
+  // cross-host send with an injector attached — one fault draw, and the
+  // volume accounting of whatever the draw left. Without an injector this
+  // is the fast path: alive check, cost, accounting. `packed` messages
+  // share their packet's frame, so a delivered one accounts no footer.
+  Attempt attempt(HostId from, HostId to, Tag tag, size_t len, bool packed);
+  // The retry loop over attempt() under retryPolicy_, shared by
+  // sendReliable and every packed commit: jittered backoff between
+  // attempts, MessageCorrupt when the last attempt is corrupt, and the
+  // quorum check before SendRetriesExhausted. Returns the delivered attempt.
+  Attempt transmit(HostId from, HostId to, Tag tag, size_t len, bool packed);
+  // Queues a delivered bare message and wakes `to`'s receivers.
+  void deliver(HostId from, HostId to, Tag tag, support::SendBuffer&& buffer,
+               const Attempt& sent);
+  // Queues one message under box.mutex: sequence number and dup-filter
+  // compaction (injector attached), delay scans, the duplicate copy and
+  // the backlog counter.
+  void enqueueLocked(Mailbox& box, Message&& msg, uint32_t delayScans,
+                     bool duplicate);
   // --- aggregation internals ---
   detail::AggChannel& aggChannel(HostId from, HostId to) {
     return *aggChannels_[static_cast<size_t>(from) * numHosts() + to];
   }
-  bool aggregatesTag(HostId from, HostId to, Tag tag) const {
-    return agg_.enabled && from != to && tag < kFirstReserved;
-  }
-  // Models one reliable transmission of a committed message: the exact
-  // injector-draw / cost / retry / corruption sequence of the legacy
-  // sendReliable path, minus the enqueue. Fills delayScans/duplicate for
-  // the unpack step; throws exactly what sendReliable would.
-  void packedCommitDraws(HostId from, HostId to, Tag tag, size_t len,
-                         uint32_t* delayScans, bool* duplicate);
+  // Range check plus the aggregation rule: another host, a user tag.
+  void checkPackedRoute(HostId from, HostId to, Tag tag, const char* op) const;
   // Seals a commit staged at ch.bytes[start..): runs the draws, appends the
   // meta and fires size/pressure flushes. ch.mutex held; rolls the staged
   // bytes back on any throw.
@@ -634,9 +645,7 @@ class Network {
   // channel destined to `me` whose oldest committed message exceeds the
   // age bound. Called with no locks held.
   void pullAgedIncoming(HostId me);
-  bool agePullActive() const {
-    return agg_.enabled && agg_.maxAgeSeconds > 0.0;
-  }
+  bool agePullActive() const { return agg_.maxAgeSeconds > 0.0; }
   void chargeModeled(HostId from, HostId to, Tag tag, size_t bytes);
   void setPendingGauge();
   // Records that `me` observed a connectivity failure toward `peer` (send
@@ -752,82 +761,60 @@ class Network {
 // (from, to) aggregation channel — the channel mutex is held for the
 // writer's lifetime, so keep writers short-lived: serialize, commit,
 // destroy. commit() seals the staged bytes as one logical message, running
-// the full reliable-send fault sequence (and throwing exactly what
-// sendReliable would); a writer destroyed without commit() abandons its
-// staged bytes. When the network aggregation is disabled — or for
-// self-sends and reserved tags — the writer transparently stages into a
-// private buffer and commit() forwards to sendReliable, so call sites need
-// no mode checks. At most one live writer per (host, destination) per
-// thread; a second one would self-deadlock on the channel mutex.
+// the reliable-send retry loop (and throwing exactly what sendReliable
+// would); a writer destroyed without commit() abandons its staged bytes.
+// At most one live writer per (host, destination) per thread; a second one
+// would self-deadlock on the channel mutex.
 class PackedWriter {
  public:
   PackedWriter(PackedWriter&&) = delete;  // constructed in place (RVO)
   PackedWriter(const PackedWriter&) = delete;
   PackedWriter& operator=(const PackedWriter&) = delete;
   ~PackedWriter() {
-    if (!committed_ && channel_ != nullptr) {
+    if (channel_ != nullptr) {
       channel_->bytes.resize(start_);  // abandon staged bytes
     }
   }
 
   void appendBytes(const void* src, size_t len) {
-    if (channel_ != nullptr) {
-      if (len == 0) {
-        return;
-      }
-      const auto* bytes = static_cast<const uint8_t*>(src);
-      channel_->bytes.insert(channel_->bytes.end(), bytes, bytes + len);
-    } else {
-      fallback_.appendBytes(src, len);
+    if (len == 0) {
+      return;
     }
+    const auto* bytes = static_cast<const uint8_t*>(src);
+    channel_->bytes.insert(channel_->bytes.end(), bytes, bytes + len);
   }
 
-  // Bytes staged by THIS writer so far.
+  // Bytes staged by THIS writer so far (0 once committed).
   size_t size() const {
-    return channel_ != nullptr ? channel_->bytes.size() - start_
-                               : fallback_.size();
+    return channel_ != nullptr ? channel_->bytes.size() - start_ : 0;
   }
 
   void commit() {
-    committed_ = true;
-    if (channel_ != nullptr) {
-      net_->finishPackedCommit(*channel_, from_, to_, tag_, start_);
-      lock_.unlock();
-      channel_ = nullptr;
-    } else {
-      net_->sendReliable(from_, to_, tag_, std::move(fallback_));
-    }
+    // Detach first: a throwing commit has already rolled its bytes back.
+    detail::AggChannel& channel = *std::exchange(channel_, nullptr);
+    net_->finishPackedCommit(channel, from_, to_, tag_, start_);
+    lock_.unlock();
   }
 
  private:
   friend class Network;
   PackedWriter(Network& net, HostId from, HostId to, Tag tag,
-               detail::AggChannel* channel)
-      : net_(&net), from_(from), to_(to), tag_(tag), channel_(channel) {
-    if (channel_ != nullptr) {
-      lock_ = std::unique_lock<std::mutex>(channel_->mutex);
-      start_ = channel_->bytes.size();
-    }
-  }
+               detail::AggChannel& channel)
+      : net_(&net), from_(from), to_(to), tag_(tag), channel_(&channel),
+        lock_(channel.mutex), start_(channel.bytes.size()) {}
 
   Network* net_;
   HostId from_;
   HostId to_;
   Tag tag_;
-  detail::AggChannel* channel_;  // null => fallback (legacy) mode
+  detail::AggChannel* channel_;  // null once committed
   std::unique_lock<std::mutex> lock_;
-  size_t start_ = 0;
-  bool committed_ = false;
-  support::SendBuffer fallback_;
+  size_t start_;
 };
 
 inline PackedWriter Network::packedWriter(HostId from, HostId to, Tag tag) {
-  if (from >= numHosts() || to >= numHosts()) {
-    throw std::out_of_range("Network::packedWriter: host id out of range");
-  }
-  return PackedWriter(*this, from, to, tag,
-                      aggregatesTag(from, to, tag) ? &aggChannel(from, to)
-                                                   : nullptr);
+  checkPackedRoute(from, to, tag, "Network::packedWriter");
+  return PackedWriter(*this, from, to, tag, aggChannel(from, to));
 }
 
 // Accumulates serialized records per destination and ships each
@@ -835,9 +822,8 @@ inline PackedWriter Network::packedWriter(HostId from, HostId to, Tag tag) {
 // (paper Section IV-D3; threshold 0 sends every record immediately, the
 // "0 MB" point of Fig. 7). flushAll() must be called to drain remainders;
 // it also drains this host's aggregation channels, so everything shipped
-// is visible to receivers when it returns. Flushes go through the
-// sendPacked aggregation path (sendReliable when aggregation is disabled),
-// so injected drops are retried either way.
+// is visible to receivers when it returns. Flushes go through sendPacked,
+// so injected drops are retried; records go to other hosts only.
 //
 // Memory-governed: when a process-wide MemoryBudget is attached at
 // construction time, the sender charges its pending aggregation bytes

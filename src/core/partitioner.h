@@ -251,10 +251,9 @@ struct PartitionerConfig {
   // overhead and bandwidth); zero-cost by default.
   comm::NetworkCostModel networkCostModel;
 
-  // Send-aggregation override for this run's networks. Unset = the
-  // process-wide default (comm::defaultAggregation(), aggregation ON with a
-  // 1400-byte packet cap); set to {.enabled = false} to force the legacy
-  // per-message path, or customize packetBytes / maxAgeSeconds.
+  // Send-aggregation tuning for this run's networks (packetBytes,
+  // maxAgeSeconds). Unset = comm::AggregationPolicy{}: a 1400-byte packet
+  // cap and no receiver-side age pull.
   std::optional<comm::AggregationPolicy> aggregation;
 
   // Simulated per-host disk bandwidth for the graph-reading phase, in

@@ -270,6 +270,7 @@ Engine::RunOutcome Engine::run(
   }
 
   analytics::ResilienceOptions opts;
+  opts.aggregation = options_.baseConfig.aggregation;
   opts.cancel = cancel;
   opts.faultPlan = spec.faultPlan;
   opts.recvTimeoutSeconds = spec.recvTimeoutSeconds;

@@ -110,9 +110,13 @@ class DynamicBitset {
   }
 
  private:
+  // Reuses the words when the sizes match, so a per-superstep copy into
+  // long-lived scratch allocates nothing.
   void copyFrom(const DynamicBitset& other) {
     numBits_ = other.numBits_;
-    words_ = std::vector<std::atomic<uint64_t>>(other.words_.size());
+    if (words_.size() != other.words_.size()) {
+      words_ = std::vector<std::atomic<uint64_t>>(other.words_.size());
+    }
     for (size_t i = 0; i < words_.size(); ++i) {
       words_[i].store(other.words_[i].load(std::memory_order_relaxed),
                       std::memory_order_relaxed);

@@ -60,8 +60,7 @@ class SendBuffer {
 };
 
 // Read-side buffer. Two storage modes share one read API:
-//  * owned — the buffer holds the message bytes itself (legacy per-message
-//    delivery);
+//  * owned — the buffer holds the message bytes itself (a bare send());
 //  * shared view — a (blob, base, length) window into a multi-message packet
 //    blob kept alive by shared_ptr, so unpacking a packet hands every
 //    message a zero-copy view instead of a per-message copy.

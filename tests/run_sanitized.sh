@@ -8,7 +8,7 @@
 # Usage: tests/run_sanitized.sh [asan-ubsan|tsan|ubsan|tsan-degraded|
 # tsan-chaos|tsan-obs|tsan-storage|tsan-splitbrain|asan-memory|
 # tsan-service|tsan-commbuf|asan-core|tsan-core|tsan-analytics]
-# (default: both full suites).
+# (default: both full suites; tsan-commbuf runs the comm and commbuf labels).
 # `tsan-degraded` builds
 # the TSan preset but runs only the tests labeled `degraded` (eviction,
 # buddy replication, degraded recovery) — the membership machinery races
@@ -34,12 +34,14 @@
 # worker pool, the engine's shared partition cache and host-pool semaphore,
 # the journal, and the concurrent attach/detach hammering of the process-
 # wide seams (test_seams) are the service layer's concurrency surface, so
-# it gets its own lane. `tsan-commbuf` runs the `commbuf` label under TSan:
-# the send-aggregation channels are written by sender threads holding the
-# channel mutex while blocked receivers age-pull and flush them, and the
-# cached mailbox-backlog counter is bumped from every enqueue/dedup/evict
-# path — exactly the lock-ordering and atomic discipline a differential
-# buffered-vs-legacy battery exercises hardest. `asan-core` runs the `core`
+# it gets its own lane. `tsan-commbuf` runs the `comm` and `commbuf` labels
+# under TSan (test_comm for the bare send/sendReliable/BufferedSender path,
+# test_comm_buffered for the aggregated one): both paths share one attempt
+# loop and one mailbox enqueue, the send-aggregation channels are written
+# by sender threads holding the channel mutex while blocked receivers
+# age-pull and flush them, and the cached mailbox-backlog counter is bumped
+# from every enqueue/dedup/evict path — the lock-ordering and atomic
+# discipline the seeded fault battery exercises hardest. `asan-core` runs the `core`
 # label (test_partitioner + test_dist_graph) under ASan+UBSan: the preset
 # also defines _GLIBCXX_ASSERTIONS, so every operator[] on the
 # partitioner's dense per-node master and local-id tables is
@@ -91,7 +93,7 @@ for preset in "${presets[@]}"; do
     label_args=(-L service)
   elif [ "$preset" = "tsan-commbuf" ]; then
     build_preset="tsan"
-    label_args=(-L commbuf)
+    label_args=(-L '^(comm|commbuf)$')
   elif [ "$preset" = "asan-core" ]; then
     build_preset="asan-ubsan"
     label_args=(-L '^core$')

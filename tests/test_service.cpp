@@ -23,6 +23,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <random>
 #include <set>
 #include <string>
@@ -72,11 +73,13 @@ graph::CsrGraph smallWeightedGraph(uint64_t seed) {
   return graph::withRandomWeights(graph::generateWebCrawl(params), 64, 7);
 }
 
-std::shared_ptr<service::Engine> makeEngine(const std::string& workDir = "",
-                                            uint32_t hostPoolSize = 16) {
+std::shared_ptr<service::Engine> makeEngine(
+    const std::string& workDir = "", uint32_t hostPoolSize = 16,
+    std::optional<comm::AggregationPolicy> aggregation = std::nullopt) {
   service::EngineOptions options;
   options.hostPoolSize = hostPoolSize;
   options.workDir = workDir;
+  options.baseConfig.aggregation = aggregation;
   auto engine = std::make_shared<service::Engine>(options);
   engine->registerGraph("web",
                         graph::GraphFile::fromCsr(smallWeightedGraph(13)));
@@ -750,9 +753,8 @@ TEST(ServiceSoakTest, AggregationPolicyNeverChangesAcceptedJobResults) {
   };
 
   const auto runSoak = [&](const comm::AggregationPolicy& agg) {
-    comm::ScopedAggregation scoped(agg);
     TempDir root;
-    auto engine = makeEngine(root.path() + "/scratch");
+    auto engine = makeEngine(root.path() + "/scratch", 16, agg);
     service::DaemonOptions options;
     options.workers = 1;  // serial execution: cache hits in program order
     options.maxQueueDepth = 256;
