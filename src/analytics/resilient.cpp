@@ -7,8 +7,8 @@
 #include "analytics/programs.h"
 #include "core/checkpoint.h"
 #include "core/degraded.h"
+#include "core/recovery.h"
 #include "obs/obs.h"
-#include "support/logging.h"
 #include "support/storage.h"
 
 namespace cusp::analytics {
@@ -43,13 +43,10 @@ std::vector<T> runResilientImpl(std::span<const DistGraph> partitions,
                                 ResilienceReport* reportOut,
                                 MakeProgram&& makeProgram) {
   ResilienceReport report;
-  auto publish = [&] {
+  if (partitions.empty()) {
     if (reportOut != nullptr) {
       *reportOut = report;
     }
-  };
-  if (partitions.empty()) {
-    publish();
     return {};
   }
   const uint32_t k = static_cast<uint32_t>(partitions.size());
@@ -61,16 +58,11 @@ std::vector<T> runResilientImpl(std::span<const DistGraph> partitions,
   }
   const uint64_t numGlobalNodes = partitions.front().numGlobalNodes;
 
-  std::shared_ptr<comm::FaultInjector> injector;
-  if (options.faultPlan && !options.faultPlan->empty()) {
-    injector = std::make_shared<comm::FaultInjector>(*options.faultPlan);
-  }
-  // One blame ledger for the whole run, like the injector: blame and
-  // condemnation survive recovery attempts.
-  std::shared_ptr<comm::StragglerMonitor> stragglerMonitor;
-  if (options.straggler.enabled()) {
-    stragglerMonitor = std::make_shared<comm::StragglerMonitor>(k);
-  }
+  // What the attempts share (core/recovery.h): the injector, the straggler
+  // monitor's blame ledger and the ENOSPC latch. Nothing here can fence a
+  // host, so the run builds no write fence.
+  core::RecoveryContext recovery(k, options.faultPlan, options.straggler,
+                                 /*withFence=*/false);
   const bool checkpoints =
       options.enableCheckpoints && !options.checkpointDir.empty();
   const uint32_t interval = std::max(1u, options.checkpointInterval);
@@ -107,13 +99,17 @@ std::vector<T> runResilientImpl(std::span<const DistGraph> partitions,
   std::atomic<uint32_t> maxPhaseSaved{0};
   std::atomic<uint32_t> checkpointsSaved{0};
   uint32_t failuresThisEpoch = 0;
-
-  // ENOSPC continuation mode: once any host's checkpoint write reports
-  // kNoSpace, the whole run stops checkpointing (the condition is
-  // persistent — retrying every interval would only churn) and continues
-  // with rollback protection degraded to restart-from-the-last-good-phase.
-  std::atomic<bool> checkpointingDisabled{false};
-  std::atomic<uint32_t> checkpointWriteFailures{0};
+  // Writes the report out, with the checkpoint and straggler tallies as the
+  // run's recovery context holds them now (host threads are joined).
+  auto publish = [&] {
+    report.checkpointsSaved = checkpointsSaved.load();
+    report.checkpointWriteFailures = recovery.checkpointWriteFailures();
+    report.checkpointingDisabledByEnospc = recovery.checkpointsDisabled();
+    report.stragglerSoftReports = recovery.stragglerSoftReports();
+    if (reportOut != nullptr) {
+      *reportOut = report;
+    }
+  };
 
   auto participants = [&](uint32_t e) {
     std::vector<uint32_t> out;
@@ -140,21 +136,10 @@ std::vector<T> runResilientImpl(std::span<const DistGraph> partitions,
       options.cancel->check("analytics attempt");
     }
     ++report.attempts;
-    comm::Network net(k, options.costModel);
-    if (options.aggregation) {
-      net.setAggregation(*options.aggregation);
-    }
-    if (injector) {
-      net.setFaultInjector(injector);
-    }
-    net.setRetryPolicy(options.retry);
-    if (options.recvTimeoutSeconds > 0) {
-      net.setRecvTimeout(options.recvTimeoutSeconds);
-    }
-    if (stragglerMonitor) {
-      net.setStragglerPolicy(options.straggler);
-      net.setStragglerMonitor(stragglerMonitor);
-    }
+    const auto attemptNet =
+        recovery.network(k, options.costModel, options.aggregation,
+                         options.recvTimeoutSeconds, options.retry);
+    comm::Network& net = *attemptNet;
     for (uint32_t r : evictedRanks) {
       net.evict(r);
     }
@@ -262,8 +247,7 @@ std::vector<T> runResilientImpl(std::span<const DistGraph> partitions,
           }
           program.superstep();
           const bool more = program.vote(s);
-          if (checkpoints &&
-              !checkpointingDisabled.load(std::memory_order_relaxed) &&
+          if (checkpoints && !recovery.checkpointsDisabled() &&
               ((s + 1) % interval == 0 || !more)) {
             support::SendBuffer payload;
             const uint64_t superstep = s;
@@ -284,36 +268,17 @@ std::vector<T> runResilientImpl(std::span<const DistGraph> partitions,
             }
             support::serializeAll(payload, superstep, gids, vals,
                                   frontierGids);
-            const std::string dir = epochDir(options.checkpointDir, epoch);
+            // A failed checkpoint write never fails the superstep: the run
+            // continues, at worst rolling further back on the next fault.
             const uint32_t phase = s + 1;
-            try {
-              core::saveCheckpoint(dir, me, k, phase, payload);
-              if (options.buddyReplication) {
-                core::saveCheckpointReplica(dir, me, k, phase, payload);
-              }
+            if (recovery.commitCheckpoint(
+                    epochDir(options.checkpointDir, epoch), me, k, phase,
+                    payload, options.buddyReplication)) {
               checkpointsSaved.fetch_add(1, std::memory_order_relaxed);
               if (ckptWrittenCtr != nullptr) {
                 ckptWrittenCtr->add();
               }
               atomicMax(maxPhaseSaved, phase);
-            } catch (const support::StorageError& e) {
-              // A failed checkpoint write never fails the superstep: the
-              // run continues, at worst rolling further back on the next
-              // fault. ENOSPC additionally disables checkpointing for the
-              // rest of the run — a full disk does not fix itself, and
-              // retrying every interval would only churn.
-              checkpointWriteFailures.fetch_add(1, std::memory_order_relaxed);
-              if (e.kind == support::StorageError::Kind::kNoSpace &&
-                  !checkpointingDisabled.exchange(true,
-                                                  std::memory_order_relaxed)) {
-                CUSP_LOG_WARN()
-                    << "checkpointing disabled for the rest of the run: "
-                    << e.what();
-                if (obsSink.metrics) {
-                  obsSink.metrics->counter("cusp.checkpoint.disabled_enospc")
-                      .add();
-                }
-              }
             }
           }
           ++s;
@@ -332,12 +297,6 @@ std::vector<T> runResilientImpl(std::span<const DistGraph> partitions,
       report.corruptionsDetected += volume.corruptionsDetected;
       report.corruptionsRecovered += volume.corruptionsRecovered;
       report.supersteps = superstepsRun.load();
-      report.checkpointsSaved = checkpointsSaved.load();
-      report.checkpointWriteFailures = checkpointWriteFailures.load();
-      report.checkpointingDisabledByEnospc = checkpointingDisabled.load();
-      if (stragglerMonitor) {
-        report.stragglerSoftReports = stragglerMonitor->totalSoftReports();
-      }
       report.finalAliveHosts = net.numAliveHosts();
       publish();
       return global;
@@ -345,12 +304,6 @@ std::vector<T> runResilientImpl(std::span<const DistGraph> partitions,
       const comm::VolumeStats volume = net.statsSnapshot();
       report.corruptionsDetected += volume.corruptionsDetected;
       report.corruptionsRecovered += volume.corruptionsRecovered;
-      report.checkpointsSaved = checkpointsSaved.load();
-      report.checkpointWriteFailures = checkpointWriteFailures.load();
-      report.checkpointingDisabledByEnospc = checkpointingDisabled.load();
-      if (stragglerMonitor) {
-        report.stragglerSoftReports = stragglerMonitor->totalSoftReports();
-      }
       const std::exception_ptr ep = std::current_exception();
       std::string kind;
       std::string what;
@@ -386,41 +339,17 @@ std::vector<T> runResilientImpl(std::span<const DistGraph> partitions,
       // fresh epoch with a fresh attempt budget. A crashed host's
       // checkpoint store dies with it; a condemned straggler's machine is
       // merely slow, so its files stay readable for the restore path.
-      std::vector<uint32_t> newlyDown;
-      std::vector<uint32_t> newlyCrashed;
-      if (injector) {
-        for (comm::HostId h : injector->permanentlyDownHosts()) {
-          if (std::find(evictedRanks.begin(), evictedRanks.end(), h) ==
-              evictedRanks.end()) {
-            newlyDown.push_back(h);
-            newlyCrashed.push_back(h);
-          }
-        }
-      }
-      if (stragglerMonitor) {
-        for (comm::HostId h : stragglerMonitor->condemnedHosts()) {
-          if (std::find(evictedRanks.begin(), evictedRanks.end(), h) ==
-                  evictedRanks.end() &&
-              std::find(newlyDown.begin(), newlyDown.end(), h) ==
-                  newlyDown.end()) {
-            newlyDown.push_back(h);
-          }
-        }
-      }
+      const std::vector<core::EvictionCandidate> newlyDown =
+          recovery.evictionCandidates(evictedRanks);
       if (options.degradedMode && !newlyDown.empty()) {
         maxPhaseByEpoch[epoch] =
             std::max(maxPhaseByEpoch[epoch], maxPhaseSaved.load());
-        for (uint32_t h : newlyDown) {
-          report.evictions.push_back(h);
-          evictedRanks.push_back(h);
-        }
-        if (checkpoints) {
-          for (uint32_t h : newlyCrashed) {
-            for (uint32_t e = 0; e <= epoch; ++e) {
-              core::removeHostCheckpointStore(
-                  epochDir(options.checkpointDir, e), h, k,
-                  maxPhaseByEpoch[e]);
-            }
+        for (const core::EvictionCandidate& c : newlyDown) {
+          report.evictions.push_back(c.host);
+          evictedRanks.push_back(c.host);
+          for (uint32_t e = 0; checkpoints && c.crashed && e <= epoch; ++e) {
+            core::removeHostCheckpointStore(epochDir(options.checkpointDir, e),
+                                            c.host, k, maxPhaseByEpoch[e]);
           }
         }
         if (evictedRanks.size() >= k) {

@@ -280,9 +280,9 @@ void Network::enforceQuorumOnFailure(HostId me, HostId peer, Tag tag) {
   // Minority (or exact tie) side of a confirmed cut: fence ourselves before
   // anyone down here can touch durable state, then fail fast.
   const uint64_t epoch = membershipEpoch() + 1;
-  if (auto fence = support::writeFence()) {
-    fence->advance(epoch);
-    fence->fence(me);
+  if (fence_) {
+    fence_->advance(epoch);
+    fence_->fence(me);
   }
   countPartitionEvent("minority_fences", me);
   throw MinorityPartition(me, static_cast<uint32_t>(component.size()),
@@ -296,9 +296,9 @@ MembershipView Network::agreeMembership(HostId me) {
     // fail fast; the resilient driver discards this host's stale in-memory
     // state and rejoins it through checkpoint redistribution after heal.
     const uint64_t epoch = membershipEpoch();
-    if (auto fence = support::writeFence()) {
-      fence->advance(epoch);
-      fence->fence(me);
+    if (fence_) {
+      fence_->advance(epoch);
+      fence_->fence(me);
     }
     countPartitionEvent("minority_fences", me);
     throw MinorityPartition(me, 0, numAliveHosts(), epoch);
@@ -324,23 +324,23 @@ MembershipView Network::agreeMembership(HostId me) {
             countPartitionEvent("quorum_evictions", h);
           }
         }
-        if (auto fence = support::writeFence()) {
+        if (fence_) {
           // Register the evicted side as fenced at the bumped epoch: the
           // checkpoint store refuses their writes even if a cut-off host
           // never reaches its own minority check (models the shared
           // storage service learning the new fencing token).
-          fence->advance(membershipEpoch());
+          fence_->advance(membershipEpoch());
           for (HostId h : evicted) {
-            fence->fence(h);
+            fence_->fence(h);
           }
         }
       } else {
         // Minority, or an exact tie: neither side of a tie may proceed
         // (two proceeding halves is split-brain). Fence and fail fast.
         const uint64_t epoch = membershipEpoch() + 1;
-        if (auto fence = support::writeFence()) {
-          fence->advance(epoch);
-          fence->fence(me);
+        if (fence_) {
+          fence_->advance(epoch);
+          fence_->fence(me);
         }
         countPartitionEvent("minority_fences", me);
         throw MinorityPartition(me, static_cast<uint32_t>(component.size()),

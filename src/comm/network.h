@@ -112,6 +112,10 @@
 #include "support/memory.h"
 #include "support/serialize.h"
 
+namespace cusp::support {
+class WriteFence;
+}  // namespace cusp::support
+
 namespace cusp::comm {
 
 // Tags used by the CuSP stack. User code may use any tag < kFirstReserved.
@@ -418,11 +422,11 @@ class Network {
   // proceed: each of its members evicts the unreachable side (idempotent,
   // so the survivors' views agree) and the agreement runs among the
   // survivors. A minority — or either half of an exact tie — fences itself
-  // against the attached support::WriteFence and throws MinorityPartition,
-  // so no minority host can ever proceed or write state. A host whose own
-  // alive flag is already gone (it was evicted while cut off) takes the
-  // same fence-and-throw path: that is how a fenced host detects the epoch
-  // bump on heal.
+  // against the run's write fence (setWriteFence) and throws
+  // MinorityPartition, so no minority host can ever proceed or write state.
+  // A host whose own alive flag is already gone (it was evicted while cut
+  // off) takes the same fence-and-throw path: that is how a fenced host
+  // detects the epoch bump on heal.
   MembershipView agreeMembership(HostId me);
 
   // --- connectivity (split-brain model) ---
@@ -451,6 +455,14 @@ class Network {
   }
   const std::shared_ptr<FaultInjector>& faultInjector() const {
     return injector_;
+  }
+
+  // Attaches the run's split-brain fencing token (support::WriteFence),
+  // shared like the injector by the Networks of every recovery attempt. The
+  // quorum rule fences the losing side against it; nullptr (the default)
+  // fences nobody.
+  void setWriteFence(std::shared_ptr<support::WriteFence> fence) {
+    fence_ = std::move(fence);
   }
 
   // Explicitly enables/disables the CRC32 frame around cross-host messages
@@ -689,6 +701,7 @@ class Network {
   std::vector<std::vector<bool>> suspected_;
 
   std::shared_ptr<FaultInjector> injector_;
+  std::shared_ptr<support::WriteFence> fence_;
   std::atomic<bool> crcFraming_{false};
   RetryPolicy retryPolicy_;
   StragglerPolicy stragglerPolicy_;

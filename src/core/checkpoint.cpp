@@ -115,19 +115,20 @@ std::optional<std::vector<uint8_t>> loadFromPath(const std::string& path,
 // this checkpoint and carries on).
 void writeCheckpointFile(const std::string& finalPath, uint32_t host,
                          uint32_t numHosts, uint32_t phase,
-                         const support::SendBuffer& payload) {
+                         const support::SendBuffer& payload,
+                         support::WriteFence* fence) {
   CheckpointHeader header;
   header.host = host;
   header.numHosts = numHosts;
   header.phase = phase;
-  // Fencing-token check (split-brain protection): when a WriteFence is
-  // attached, a fenced writer — the minority side of a network partition —
+  // Fencing-token check (split-brain protection): when the run hands in a
+  // WriteFence, a fenced writer — the minority side of a network partition —
   // is refused HERE, before any byte touches the disk, so a fenced host can
   // neither clobber its primary image nor buddy-replicate stale state.
   // Refusal leaves no tmp debris (unlike an injected write fault, nothing
   // was started). `host` is the OWNER of the image, which for a buddy
   // replica is also the writer, so one check covers both paths.
-  if (auto fence = support::writeFence()) {
+  if (fence != nullptr) {
     if (fence->isFenced(host)) {
       fence->countFencedWriteAttempt();
       countCheckpoint("cusp.checkpoint.fenced_writes", 1);
@@ -173,18 +174,20 @@ std::string checkpointReplicaPath(const std::string& dir, uint32_t owner,
 }
 
 void saveCheckpoint(const std::string& dir, uint32_t host, uint32_t numHosts,
-                    uint32_t phase, const support::SendBuffer& payload) {
+                    uint32_t phase, const support::SendBuffer& payload,
+                    support::WriteFence* fence) {
   makeDirs(dir);
   writeCheckpointFile(checkpointPath(dir, host, phase), host, numHosts, phase,
-                      payload);
+                      payload, fence);
 }
 
 void saveCheckpointReplica(const std::string& dir, uint32_t owner,
                            uint32_t numHosts, uint32_t phase,
-                           const support::SendBuffer& payload) {
+                           const support::SendBuffer& payload,
+                           support::WriteFence* fence) {
   makeDirs(dir);
   writeCheckpointFile(checkpointReplicaPath(dir, owner, numHosts, phase),
-                      owner, numHosts, phase, payload);
+                      owner, numHosts, phase, payload, fence);
   countCheckpoint("cusp.checkpoint.replicas_written", 1);
 }
 

@@ -38,6 +38,10 @@
 
 #include "support/serialize.h"
 
+namespace cusp::support {
+class WriteFence;
+}  // namespace cusp::support
+
 namespace cusp::core {
 
 inline constexpr uint64_t kCheckpointMagic = 0x0000000031504B43ULL;  // "CKP1"
@@ -51,9 +55,12 @@ std::string checkpointPath(const std::string& dir, uint32_t host,
 // std::runtime_error) on I/O failure, real or injected; callers dispatch
 // on its kind — kNoSpace means the condition is persistent and further
 // checkpointing should be disabled, everything else means skip this one
-// checkpoint and continue.
+// checkpoint and continue. With a `fence` (split-brain protection), a
+// fenced `host` is refused before any I/O and the image is stamped with
+// the fence's epoch.
 void saveCheckpoint(const std::string& dir, uint32_t host, uint32_t numHosts,
-                    uint32_t phase, const support::SendBuffer& payload);
+                    uint32_t phase, const support::SendBuffer& payload,
+                    support::WriteFence* fence = nullptr);
 
 // Loads and validates a checkpoint; nullopt if the file is missing, fails
 // CRC, or does not match (host, numHosts, phase). A checkpoint written for
@@ -73,10 +80,12 @@ std::string checkpointReplicaPath(const std::string& dir, uint32_t owner,
                                   uint32_t numHosts, uint32_t phase);
 
 // Atomically writes the replica of `owner`'s phase checkpoint into its ring
-// successor's store (same header/CRC format as the primary).
+// successor's store (same header/CRC format and fence check as the
+// primary).
 void saveCheckpointReplica(const std::string& dir, uint32_t owner,
                            uint32_t numHosts, uint32_t phase,
-                           const support::SendBuffer& payload);
+                           const support::SendBuffer& payload,
+                           support::WriteFence* fence = nullptr);
 
 // Loads `owner`'s checkpoint from the buddy replica; same validation as
 // loadCheckpoint (the header identity is the OWNER's).

@@ -12,6 +12,7 @@
 
 #include "core/checkpoint.h"
 #include "core/degraded.h"
+#include "core/recovery.h"
 #include "obs/obs.h"
 #include "support/bitset.h"
 #include "support/logging.h"
@@ -36,18 +37,23 @@ constexpr uint32_t kNoLocal = UINT32_MAX;
 using MasterPairs = std::vector<std::pair<uint64_t, uint32_t>>;
 
 // One host's partitioning job; phase methods run in order and share state
-// through the members. All inter-host data moves through `net`.
+// through the members. All inter-host data moves through `net`; checkpoints
+// commit through the run's `recovery` context, and `resumeVote` (optional)
+// receives this host's vote in the resume agreement.
 class PartitionJob {
  public:
   PartitionJob(comm::Network& net, HostId me, const graph::GraphFile& file,
                const PartitionPolicy& policy, const PartitionerConfig& config,
-               support::PhaseTimes& phaseTimes)
+               support::PhaseTimes& phaseTimes, RecoveryContext& recovery,
+               uint32_t* resumeVote)
       : net_(net),
         me_(me),
         file_(file),
         policy_(policy),
         config_(config),
         phaseTimes_(phaseTimes),
+        recovery_(recovery),
+        resumeVote_(resumeVote),
         prop_(file, net.numHosts()) {
     for (const auto& counter : policy.master.stateCounters) {
       state_.registerCounter(counter);
@@ -96,6 +102,9 @@ class PartitionJob {
     if (checkpointing()) {
       const uint32_t mine = latestValidCheckpoint(
           config_.resilience.checkpointDir, me_, numHosts(), 5);
+      if (resumeVote_ != nullptr) {
+        *resumeVote_ = mine;  // before any crossing: every host gets to vote
+      }
       resumePhase = net_.allReduceMin(me_, mine);
     }
     if (resumePhase >= 5) {
@@ -190,9 +199,8 @@ class PartitionJob {
   }
 
   void writeCheckpoint(uint32_t phase) {
-    const auto& health = config_.resilience.checkpointHealth;
-    if (health && health->disabled.load(std::memory_order_relaxed)) {
-      return;  // earlier persistent ENOSPC: explicit no-checkpoint mode
+    if (recovery_.checkpointsDisabled()) {
+      return;  // earlier persistent ENOSPC: skip serializing the payload
     }
     SendBuffer payload;
     switch (phase) {
@@ -213,31 +221,11 @@ class PartitionJob {
         serializeDistGraph(payload, result_);
         break;
     }
-    try {
-      saveCheckpoint(config_.resilience.checkpointDir, me_, numHosts(), phase,
-                     payload);
-      if (config_.resilience.buddyReplication) {
-        // Mirror to the ring successor's store so this host's phase state
-        // survives the loss of its own (core/checkpoint.h).
-        saveCheckpointReplica(config_.resilience.checkpointDir, me_,
-                              numHosts(), phase, payload);
-      }
-    } catch (const support::StorageError& e) {
-      // A failed checkpoint never fails the phase — the run just loses one
-      // restart point. Persistent ENOSPC latches the run-level disable.
-      if (health) {
-        health->writeFailures.fetch_add(1, std::memory_order_relaxed);
-        if (e.kind == support::StorageError::Kind::kNoSpace &&
-            !health->disabled.exchange(true, std::memory_order_relaxed)) {
-          CUSP_LOG_WARN() << "partitioner: checkpoint store out of space ("
-                          << e.path
-                          << "); checkpointing disabled for the rest of the "
-                             "run";
-          if (metrics_) {
-            metrics_->counter("cusp.checkpoint.disabled_enospc").add();
-          }
-        }
-      }
+    // A failed checkpoint never fails the phase: the run just loses one
+    // restart point.
+    if (!recovery_.commitCheckpoint(config_.resilience.checkpointDir, me_,
+                                    numHosts(), phase, payload,
+                                    config_.resilience.buddyReplication)) {
       return;
     }
     if (metrics_) {
@@ -1419,6 +1407,8 @@ class PartitionJob {
   const PartitionPolicy& policy_;
   const PartitionerConfig& config_;
   support::PhaseTimes& phaseTimes_;
+  RecoveryContext& recovery_;
+  uint32_t* const resumeVote_;
   GraphProperties prop_;
   double modeledDiskSeconds_ = 0.0;
 
@@ -1484,63 +1474,45 @@ DistGraph partitionOnHost(comm::Network& net, comm::HostId me,
     throw std::invalid_argument(
         "partitionOnHost: network size != config.numHosts");
   }
-  PartitionJob job(net, me, file, policy, config, phaseTimes);
-  return job.run();
+  // The caller owns the Network and its faults; outside a driver run the
+  // host keeps only its own ENOSPC latch.
+  RecoveryContext recovery(config.numHosts, nullptr, {}, /*withFence=*/false);
+  return PartitionJob(net, me, file, policy, config, phaseTimes, recovery,
+                      /*resumeVote=*/nullptr)
+      .run();
 }
 
 namespace {
 
-std::shared_ptr<comm::FaultInjector> makeInjector(
-    const PartitionerConfig& config) {
-  const auto& plan = config.resilience.faultPlan;
-  if (!plan || plan->empty()) {
-    return nullptr;
-  }
-  return std::make_shared<comm::FaultInjector>(*plan);
-}
-
-// One full pipeline run over a fresh Network. The injector is passed in
-// (rather than built here) so recovery attempts share it: occurrence
-// counters and fired-crash flags persist, and a rebooted host does not
-// re-crash on replay. The straggler monitor is shared the same way, so
-// blame accumulated against a slow host survives the teardown of a failed
-// attempt (a null monitor with the policy enabled gets a run-local one).
-PartitionResult runPipeline(
-    const graph::GraphFile& file, const PartitionPolicy& policy,
-    const PartitionerConfig& config,
-    const std::shared_ptr<comm::FaultInjector>& injector,
-    const std::shared_ptr<comm::StragglerMonitor>& monitor = nullptr) {
-  comm::Network net(config.numHosts, config.networkCostModel);
-  if (config.aggregation) {
-    net.setAggregation(*config.aggregation);
-  }
-  if (injector) {
-    net.setFaultInjector(injector);
-  }
-  if (config.resilience.recvTimeoutSeconds > 0) {
-    net.setRecvTimeout(config.resilience.recvTimeoutSeconds);
-  }
-  net.setRetryPolicy(config.resilience.retry);
-  if (config.resilience.straggler.enabled()) {
-    net.setStragglerPolicy(config.resilience.straggler);
-    net.setStragglerMonitor(
-        monitor ? monitor
-                : std::make_shared<comm::StragglerMonitor>(config.numHosts));
-  }
+// One full pipeline run over a fresh attempt Network. The run's recovery
+// context outlives the attempt: a crash fires once across attempts, blame
+// against a slow host survives a teardown, and the ENOSPC latch and fence
+// hold for the whole run. `resumeVotes` (one slot per host), when given,
+// receives each host's vote in the resume agreement.
+PartitionResult runPipeline(const graph::GraphFile& file,
+                            const PartitionPolicy& policy,
+                            const PartitionerConfig& config,
+                            RecoveryContext& recovery,
+                            std::vector<uint32_t>* resumeVotes = nullptr) {
+  const auto net = recovery.network(
+      config.numHosts, config.networkCostModel, config.aggregation,
+      config.resilience.recvTimeoutSeconds, config.resilience.retry);
   PartitionResult result;
   result.partitions.resize(config.numHosts);
   std::vector<support::PhaseTimes> hostTimes(config.numHosts);
   support::Timer total;
-  comm::runHosts(net, [&](comm::HostId me) {
+  comm::runHosts(*net, [&](comm::HostId me) {
     result.partitions[me] =
-        partitionOnHost(net, me, file, policy, config, hostTimes[me]);
+        PartitionJob(*net, me, file, policy, config, hostTimes[me], recovery,
+                     resumeVotes != nullptr ? &(*resumeVotes)[me] : nullptr)
+            .run();
   });
   result.wallSeconds = total.elapsedSeconds();
   for (const auto& times : hostTimes) {
     result.phaseTimes.maxWith(times);
   }
   result.totalSeconds = result.phaseTimes.total();
-  result.volume = net.statsSnapshot();
+  result.volume = net->statsSnapshot();
   return result;
 }
 
@@ -1582,26 +1554,13 @@ uint64_t windowBytes(const ReadRange& r, bool withData) {
 // redistribution, and keeps its own compacted partition. Crossing-visible
 // like a pipeline run, so pending crashes can fire inside the round.
 PartitionResult runRedistributionRound(
-    const PartitionerConfig& baseConfig,
-    const std::shared_ptr<comm::FaultInjector>& injector,
-    const std::shared_ptr<comm::StragglerMonitor>& monitor,
+    const PartitionerConfig& baseConfig, const RecoveryContext& recovery,
     const std::vector<uint32_t>& deadRanks) {
   const uint32_t k = baseConfig.numHosts;
-  comm::Network net(k, baseConfig.networkCostModel);
-  if (baseConfig.aggregation) {
-    net.setAggregation(*baseConfig.aggregation);
-  }
-  if (injector) {
-    net.setFaultInjector(injector);
-  }
-  if (baseConfig.resilience.recvTimeoutSeconds > 0) {
-    net.setRecvTimeout(baseConfig.resilience.recvTimeoutSeconds);
-  }
-  net.setRetryPolicy(baseConfig.resilience.retry);
-  if (monitor && baseConfig.resilience.straggler.enabled()) {
-    net.setStragglerPolicy(baseConfig.resilience.straggler);
-    net.setStragglerMonitor(monitor);
-  }
+  const auto attemptNet = recovery.network(
+      k, baseConfig.networkCostModel, baseConfig.aggregation,
+      baseConfig.resilience.recvTimeoutSeconds, baseConfig.resilience.retry);
+  comm::Network& net = *attemptNet;
   for (uint32_t d : deadRanks) {
     net.evict(d);
   }
@@ -1679,19 +1638,6 @@ std::unique_ptr<support::ScopedMemoryBudget> scopedBudgetFor(
       config.memoryBudgetBytes, plan ? *plan : support::MemoryFaultPlan{});
 }
 
-// Attaches a process write fence for the resilient driver unless one is
-// already attached (a test's pre-attached fence wins, same contract as the
-// storage-fault seam). Without degraded mode there is nothing that could
-// ever fence a host, so the seam stays detached and checkpoint writes are
-// byte-identical to the pre-split-brain behavior.
-std::unique_ptr<support::ScopedWriteFence> scopedFenceFor(
-    const PartitionerConfig& config) {
-  if (!config.resilience.degradedMode || support::writeFence() != nullptr) {
-    return nullptr;
-  }
-  return std::make_unique<support::ScopedWriteFence>();
-}
-
 }  // namespace
 
 PartitionResult partitionGraph(const graph::GraphFile& file,
@@ -1701,7 +1647,9 @@ PartitionResult partitionGraph(const graph::GraphFile& file,
     throw std::invalid_argument("partitionGraph: numHosts must be > 0");
   }
   const auto scopedBudget = scopedBudgetFor(config);
-  return runPipeline(file, policy, config, makeInjector(config));
+  RecoveryContext recovery(config.numHosts, config.resilience.faultPlan,
+                           config.resilience.straggler, /*withFence=*/false);
+  return runPipeline(file, policy, config, recovery);
 }
 
 PartitionResult partitionGraphResilient(const graph::GraphFile& file,
@@ -1714,10 +1662,6 @@ PartitionResult partitionGraphResilient(const graph::GraphFile& file,
   }
   const uint32_t maxAttempts =
       std::max(1u, config.resilience.maxRecoveryAttempts);
-  if (report != nullptr) {
-    *report = RecoveryReport{};
-    report->finalNumHosts = config.numHosts;
-  }
   const bool checkpoints = config.resilience.enableCheckpoints &&
                            !config.resilience.checkpointDir.empty();
   if (checkpoints) {
@@ -1728,10 +1672,45 @@ PartitionResult partitionGraphResilient(const graph::GraphFile& file,
   // budget shrinks persist across restarts, so "checkpoint-and-restart at a
   // smaller budget" is exactly what a retry after kBudgetShrink does.
   const auto scopedBudget = scopedBudgetFor(config);
-  // One write fence for the whole recovery loop: fences applied by the
-  // quorum rule (here or by Network::enforceQuorumOnFailure inside a run)
-  // stay in force across attempt teardowns until a heal lifts them.
-  const auto scopedFence = scopedFenceFor(config);
+  // What the attempts share (core/recovery.h): injector, straggler monitor,
+  // ENOSPC latch and, in degraded mode, the write fence. Fences applied by
+  // the quorum rule (here or by a Network inside a run) stay in force
+  // across attempt teardowns until a heal lifts them.
+  RecoveryContext recovery(config.numHosts, config.resilience.faultPlan,
+                           config.resilience.straggler,
+                           config.resilience.degradedMode);
+  // The hosts' own resume votes in the latest attempt; the report's resume
+  // phase is their min. Redistribution rounds do not vote: a Path A round
+  // reports 0, a heal rejoin 5 (it reloads every phase-5 state).
+  std::vector<uint32_t> resumeVotes;
+  // The report is written once, on every exit: a result or a rethrown fault.
+  RecoveryReport rep;
+  rep.finalNumHosts = config.numHosts;
+  const auto publish = [&] {
+    if (report == nullptr) {
+      return;
+    }
+    rep.resumedFromPhase =
+        resumeVotes.empty()
+            ? 0
+            : *std::min_element(resumeVotes.begin(), resumeVotes.end());
+    rep.checkpointWriteFailures = recovery.checkpointWriteFailures();
+    rep.checkpointingDisabledByEnospc = recovery.checkpointsDisabled();
+    rep.stragglerSoftReports = recovery.stragglerSoftReports();
+    if (support::memoryBudgetAttached()) {
+      const support::MemoryBudgetStats ms = support::memoryBudget()->stats();
+      rep.spillBytesWritten = ms.spillBytes;
+      rep.memoryPeakBytes = ms.peakBytes;
+    }
+    if (const support::WriteFence* fence = recovery.fence()) {
+      rep.fencedWriteAttempts = fence->fencedWriteAttempts();
+    }
+    *report = std::move(rep);
+  };
+  const struct PublishOnExit {
+    const decltype(publish)& fn;
+    ~PublishOnExit() { fn(); }
+  } publishOnExit{publish};
   // Driver-side observability: attempt spans land on the dedicated driver
   // lane; eviction/re-read counters mirror the RecoveryReport fields.
   const obs::Sink obsSink = obs::sink();
@@ -1745,17 +1724,6 @@ PartitionResult partitionGraphResilient(const graph::GraphFile& file,
   for (uint32_t r = 0; r < config.numHosts; ++r) {
     aliveOriginal[r] = r;
   }
-  auto baseInjector = makeInjector(baseConfig);
-  // Shared across attempts like the injector, so blame accumulated against
-  // a slow host survives a failed attempt's teardown; rebuilt (survivor-
-  // sized) when Path B shrinks the base.
-  std::shared_ptr<comm::StragglerMonitor> stragglerMonitor =
-      config.resilience.straggler.enabled()
-          ? std::make_shared<comm::StragglerMonitor>(config.numHosts)
-          : nullptr;
-  // Soft reports of monitors retired by Path B rebases (the fresh
-  // survivor-sized monitor restarts at zero).
-  uint64_t softReportsRetired = 0;
   // Memory-pressure degradation ladder position. Each MemoryPressure fault
   // advances at most one rung (stream windows -> spill -> halve chunks);
   // the cap bounds the free (unmetered) config changes so persistent
@@ -1763,32 +1731,6 @@ PartitionResult partitionGraphResilient(const graph::GraphFile& file,
   // looping forever.
   uint32_t memoryLadderSteps = 0;
   constexpr uint32_t kMaxMemoryLadderSteps = 16;
-  // Storage/straggler outcomes reported on every exit path.
-  const auto fillStorageReport = [&] {
-    if (report == nullptr) {
-      return;
-    }
-    const auto& health = config.resilience.checkpointHealth;
-    if (health) {
-      report->checkpointWriteFailures =
-          health->writeFailures.load(std::memory_order_relaxed);
-      report->checkpointingDisabledByEnospc =
-          health->disabled.load(std::memory_order_relaxed);
-    }
-    if (stragglerMonitor) {
-      report->stragglerSoftReports =
-          softReportsRetired + stragglerMonitor->totalSoftReports();
-    }
-    if (support::memoryBudgetAttached()) {
-      const support::MemoryBudgetStats ms =
-          support::memoryBudget()->stats();
-      report->spillBytesWritten = ms.spillBytes;
-      report->memoryPeakBytes = ms.peakBytes;
-    }
-    if (const auto fence = support::writeFence()) {
-      report->fencedWriteAttempts = fence->fencedWriteAttempts();
-    }
-  };
   uint64_t epoch = 0;
   // Path A state: base ranks evicted but with phase-5 state recoverable,
   // awaiting a redistribution round; the matching replica payload bytes and
@@ -1808,22 +1750,9 @@ PartitionResult partitionGraphResilient(const graph::GraphFile& file,
         !baseConfig.resilience.checkpointDir.empty();
     bool newBase = false;
     for (uint32_t attempt = 0; !newBase;) {
-      if (report != nullptr) {
-        ++report->attempts;
-        // Mirror the agreement the hosts are about to compute (min over
-        // hosts of the latest valid checkpoint) for reporting.
-        uint32_t resume = 0;
-        if (baseCheckpoints && pendingRedistribution.empty()) {
-          resume = 5;
-          for (uint32_t h = 0; h < baseConfig.numHosts; ++h) {
-            resume = std::min(
-                resume,
-                latestValidCheckpoint(baseConfig.resilience.checkpointDir, h,
-                                      baseConfig.numHosts, 5));
-          }
-        }
-        report->resumedFromPhase = resume;
-      }
+      ++rep.attempts;
+      resumeVotes.assign(baseConfig.numHosts,
+                         healRejoin && pendingRedistribution.empty() ? 5 : 0);
       try {
         // A cancelled/expired job must not start another full pipeline run;
         // JobCancelled is not a fault, so the catch below rethrows it.
@@ -1839,41 +1768,32 @@ PartitionResult partitionGraphResilient(const graph::GraphFile& file,
                                                         : "redistribution ") +
                 std::to_string(totalAttempts));
         PartitionResult result =
-            healRejoin
-                ? runRedistributionRound(baseConfig, baseInjector,
-                                         stragglerMonitor, {})
-                : pendingRedistribution.empty()
-                      ? runPipeline(file, policy, baseConfig, baseInjector,
-                                    stragglerMonitor)
-                      : runRedistributionRound(baseConfig, baseInjector,
-                                               stragglerMonitor,
-                                               pendingRedistribution);
-        if (!pendingRedistribution.empty() && obsSink.metrics) {
-          obsSink.metrics->counter("cusp.partitioner.replica_bytes_read")
-              .add(pendingReplicaBytes);
-        }
-        if (report != nullptr) {
-          report->finalNumHosts =
-              static_cast<uint32_t>(result.partitions.size());
-          if (!pendingRedistribution.empty()) {
-            report->replicaBytesRead += pendingReplicaBytes;
-            for (uint32_t d : pendingRedistribution) {
-              report->evictions[recordIndexOfRank.at(d)].redistributed = true;
-            }
+            healRejoin ? runRedistributionRound(baseConfig, recovery, {})
+            : pendingRedistribution.empty()
+                ? runPipeline(file, policy, baseConfig, recovery, &resumeVotes)
+                : runRedistributionRound(baseConfig, recovery,
+                                         pendingRedistribution);
+        if (!pendingRedistribution.empty()) {
+          if (obsSink.metrics) {
+            obsSink.metrics->counter("cusp.partitioner.replica_bytes_read")
+                .add(pendingReplicaBytes);
+          }
+          rep.replicaBytesRead += pendingReplicaBytes;
+          for (uint32_t d : pendingRedistribution) {
+            rep.evictions[recordIndexOfRank.at(d)].redistributed = true;
           }
         }
-        fillStorageReport();
+        rep.finalNumHosts = static_cast<uint32_t>(result.partitions.size());
         return result;
       } catch (...) {
         const auto fault = classifyFault(std::current_exception());
         if (!fault) {
-          fillStorageReport();
           throw;  // not a fault exception; never retried
         }
-        if (report != nullptr) {
-          report->failures.emplace_back(fault->what);
-          report->failureKinds.emplace_back(fault->kindName());
-        }
+        rep.failures.emplace_back(fault->what);
+        rep.failureKinds.emplace_back(fault->kindName());
+        const auto& injector = recovery.injector();
+        const auto& monitor = recovery.stragglerMonitor();
 
         // --- split-brain quorum rung --------------------------------------
         // A timed partition event is in force: resolve it under the quorum
@@ -1885,17 +1805,15 @@ PartitionResult partitionGraphResilient(const graph::GraphFile& file,
         // (the machines are fenced, not dead), so the shared eviction
         // machinery below treats them like condemned stragglers.
         std::vector<uint32_t> partitionFenced;
-        const auto pendingPartition = baseInjector != nullptr
-                                          ? baseInjector->unresolvedPartition()
+        const auto pendingPartition = injector != nullptr
+                                          ? injector->unresolvedPartition()
                                           : std::nullopt;
         if (baseConfig.resilience.degradedMode && pendingPartition &&
             baseConfig.numHosts > 1) {
           const comm::PartitionEvent pe =
-              baseInjector->partitionEvent(*pendingPartition);
+              injector->partitionEvent(*pendingPartition);
           if (pe.groupOf.size() == baseConfig.numHosts) {
-            if (report != nullptr) {
-              ++report->partitionEvents;
-            }
+            ++rep.partitionEvents;
             if (obsSink.metrics) {
               obsSink.metrics->counter("cusp.net.partition.events").add();
             }
@@ -1915,27 +1833,19 @@ PartitionResult partitionGraphResilient(const graph::GraphFile& file,
               // themselves (Network::enforceQuorumOnFailure) and thrown
               // MinorityPartition; fail fast without spending attempts on an
               // unwinnable agreement.
-              fillStorageReport();
               throw;
             }
+            // Degraded mode: the run built its fence.
+            support::WriteFence& fence = *recovery.fence();
+            fence.advance(++epoch);
             for (uint32_t r = 0; r < baseConfig.numHosts; ++r) {
               if (pe.groupOf[r] != static_cast<uint8_t>(majorityGroup)) {
                 partitionFenced.push_back(r);
+                fence.fence(r);
+                rep.fencedHosts.push_back(aliveOriginal[r]);
               }
             }
-            ++epoch;
-            if (const auto fence = support::writeFence()) {
-              fence->advance(epoch);
-              for (uint32_t r : partitionFenced) {
-                fence->fence(r);
-              }
-            }
-            if (report != nullptr) {
-              for (uint32_t r : partitionFenced) {
-                report->fencedHosts.push_back(aliveOriginal[r]);
-              }
-            }
-            baseInjector->resolvePartition(*pendingPartition);
+            injector->resolvePartition(*pendingPartition);
             if (pe.heals) {
               // Heal-time rejoin: connectivity is restored, so the fenced
               // hosts lift their fences and rejoin at full strength. With a
@@ -1945,15 +1855,9 @@ PartitionResult partitionGraphResilient(const graph::GraphFile& file,
               // common checkpoint. Either way the run completes at full
               // size, and a deterministic policy reproduces the clean
               // output bit for bit.
-              if (const auto fence = support::writeFence()) {
-                for (uint32_t r : partitionFenced) {
-                  fence->lift(r);
-                }
-              }
-              if (report != nullptr) {
-                for (uint32_t r : partitionFenced) {
-                  report->rejoinedHosts.push_back(aliveOriginal[r]);
-                }
+              for (uint32_t r : partitionFenced) {
+                fence.lift(r);
+                rep.rejoinedHosts.push_back(aliveOriginal[r]);
               }
               if (obsSink.metrics) {
                 obsSink.metrics->counter("cusp.net.partition.heals").add();
@@ -1984,7 +1888,6 @@ PartitionResult partitionGraphResilient(const graph::GraphFile& file,
           // A fenced minority without a resolvable partition event (an
           // asymmetric link cut isolated the host for good): fail-fast by
           // contract — no retry can win back a quorum that is not there.
-          fillStorageReport();
           throw;
         }
 
@@ -1996,9 +1899,7 @@ PartitionResult partitionGraphResilient(const graph::GraphFile& file,
         // the checkpoints, (3) halve the chunk size — and only when the
         // ladder is exhausted fall through to the plain retry/throw path.
         if (fault->kind == ClassifiedFault::kMemoryPressure) {
-          if (report != nullptr) {
-            ++report->memoryPressureEvents;
-          }
+          ++rep.memoryPressureEvents;
           if (obsSink.metrics) {
             obsSink.metrics->counter("cusp.mem.pressure_events").add();
           }
@@ -2032,12 +1933,12 @@ PartitionResult partitionGraphResilient(const graph::GraphFile& file,
 
         const bool crashEvictable =
             fault->kind == ClassifiedFault::kHostFailure &&
-            baseInjector != nullptr && fault->host != comm::kAnyHost &&
-            baseInjector->isPermanentlyDown(fault->host);
+            injector != nullptr && fault->host != comm::kAnyHost &&
+            injector->isPermanentlyDown(fault->host);
         const bool stragglerEvictable =
             fault->kind == ClassifiedFault::kStragglerDeadline &&
-            stragglerMonitor != nullptr && fault->host != comm::kAnyHost &&
-            stragglerMonitor->isCondemned(fault->host);
+            monitor != nullptr && fault->host != comm::kAnyHost &&
+            monitor->isCondemned(fault->host);
         const bool evictable =
             baseConfig.resilience.degradedMode &&
             (crashEvictable || stragglerEvictable ||
@@ -2045,7 +1946,6 @@ PartitionResult partitionGraphResilient(const graph::GraphFile& file,
             baseConfig.numHosts > 1;
         if (!evictable) {
           if (++attempt >= maxAttempts) {
-            fillStorageReport();
             throw;
           }
           continue;  // plain retry: transient crash, stall, or lost sends
@@ -2055,20 +1955,21 @@ PartitionResult partitionGraphResilient(const graph::GraphFile& file,
         // Every permanently-down and every condemned base rank is evicted
         // together (a second machine may have died — or stalled — in the
         // same run). Crashed ranks lose their checkpoint stores; condemned
-        // stragglers keep theirs (the machine is slow, not dead).
-        std::vector<uint32_t> deadRanks;
+        // stragglers keep theirs (the machine is slow, not dead), and so do
+        // the quorum-fenced minority's.
+        std::vector<bool> dead(baseConfig.numHosts, false);
         std::vector<bool> crashedRank(baseConfig.numHosts, false);
+        for (const EvictionCandidate& c : recovery.evictionCandidates({})) {
+          dead[c.host] = true;
+          crashedRank[c.host] = c.crashed;
+        }
+        for (uint32_t r : partitionFenced) {
+          dead[r] = true;
+        }
+        std::vector<uint32_t> deadRanks;
         for (uint32_t r = 0; r < baseConfig.numHosts; ++r) {
-          const bool crashed =
-              baseInjector != nullptr && baseInjector->isPermanentlyDown(r);
-          const bool condemned =
-              stragglerMonitor != nullptr && stragglerMonitor->isCondemned(r);
-          const bool fenced = std::find(partitionFenced.begin(),
-                                        partitionFenced.end(),
-                                        r) != partitionFenced.end();
-          if (crashed || condemned || fenced) {
+          if (dead[r]) {
             deadRanks.push_back(r);
-            crashedRank[r] = crashed;
           }
         }
         for (uint32_t d : deadRanks) {
@@ -2079,14 +1980,11 @@ PartitionResult partitionGraphResilient(const graph::GraphFile& file,
           if (obsSink.metrics) {
             obsSink.metrics->counter("cusp.partitioner.evictions").add();
           }
-          recordIndexOfRank[d] =
-              report != nullptr ? report->evictions.size() : 0;
-          if (report != nullptr) {
-            report->evictions.push_back(
-                EvictionRecord{aliveOriginal[d], fault->phase, epoch,
-                               /*redistributed=*/false,
-                               /*replicaLost=*/false});
-          }
+          recordIndexOfRank[d] = rep.evictions.size();
+          rep.evictions.push_back(EvictionRecord{aliveOriginal[d], fault->phase,
+                                                 epoch,
+                                                 /*redistributed=*/false,
+                                                 /*replicaLost=*/false});
           if (baseCheckpoints && crashedRank[d]) {
             // The dead machine's local store dies with it: its own
             // checkpoints and every buddy replica it held for others.
@@ -2099,20 +1997,15 @@ PartitionResult partitionGraphResilient(const graph::GraphFile& file,
         // checkpoint AND every dead rank's phase-5 state is recoverable —
         // from its own (still readable) store for condemned stragglers,
         // from its buddy replica for crashed ranks.
-        bool anyCrashed = false;
-        for (uint32_t d : deadRanks) {
-          anyCrashed = anyCrashed || crashedRank[d];
-        }
+        const bool anyCrashed =
+            std::find(crashedRank.begin(), crashedRank.end(), true) !=
+            crashedRank.end();
         bool feasible = baseCheckpoints &&
                         (!anyCrashed ||
                          baseConfig.resilience.buddyReplication) &&
                         deadRanks.size() < baseConfig.numHosts;
         pendingReplicaBytes = 0;
         if (feasible) {
-          std::vector<bool> dead(baseConfig.numHosts, false);
-          for (uint32_t d : deadRanks) {
-            dead[d] = true;
-          }
           for (uint32_t r = 0; r < baseConfig.numHosts; ++r) {
             if (!dead[r] &&
                 !loadCheckpoint(baseConfig.resilience.checkpointDir, r,
@@ -2132,10 +2025,7 @@ PartitionResult partitionGraphResilient(const graph::GraphFile& file,
                                         d, baseConfig.numHosts, 5);
               if (!replica) {
                 feasible = false;  // buddy died too; replica gone with it
-                if (report != nullptr) {
-                  report->evictions[recordIndexOfRank.at(d)].replicaLost =
-                      true;
-                }
+                rep.evictions[recordIndexOfRank.at(d)].replicaLost = true;
               } else {
                 pendingReplicaBytes += replica->size();
               }
@@ -2148,10 +2038,6 @@ PartitionResult partitionGraphResilient(const graph::GraphFile& file,
         }
 
         // --- Path B: shrink the base and re-partition ---------------------
-        std::vector<bool> dead(baseConfig.numHosts, false);
-        for (uint32_t d : deadRanks) {
-          dead[d] = true;
-        }
         std::vector<comm::HostId> newAlive;
         std::vector<uint32_t> survivorOldRank;
         for (uint32_t r = 0; r < baseConfig.numHosts; ++r) {
@@ -2161,45 +2047,38 @@ PartitionResult partitionGraphResilient(const graph::GraphFile& file,
           }
         }
         if (newAlive.empty()) {
-          fillStorageReport();
           throw;  // every host is gone; nothing to degrade to
         }
         const uint32_t m = static_cast<uint32_t>(newAlive.size());
-        if (report != nullptr || obsSink.metrics) {
-          // Adopted-window bookkeeping: the new m-way split re-reads the
-          // dead hosts' old windows; record which survivor re-reads which
-          // slice and the modeled bytes beyond each survivor's own old
-          // window.
-          const auto oldRanges =
-              readRangesFor(file, baseConfig, baseConfig.numHosts);
-          const auto newRanges = readRangesFor(file, baseConfig, m);
-          const bool withData = file.hasEdgeData();
-          uint64_t bytesReRead = 0;
-          for (uint32_t r = 0; r < m; ++r) {
-            const ReadRange& mine = newRanges[r];
-            for (uint32_t d : deadRanks) {
-              const ReadRange adopted = intersectRanges(mine, oldRanges[d]);
-              if (adopted.numNodes() == 0 && adopted.numEdges() == 0) {
-                continue;
-              }
-              if (report != nullptr) {
-                report->adoptedRanges.push_back(AdoptedEdgeRange{
-                    newAlive[r], aliveOriginal[d], adopted.nodeBegin,
-                    adopted.nodeEnd, adopted.edgeBegin, adopted.edgeEnd});
-              }
+        // Adopted-window bookkeeping: the new m-way split re-reads the
+        // dead hosts' old windows; record which survivor re-reads which
+        // slice and the modeled bytes beyond each survivor's own old
+        // window.
+        const auto oldRanges =
+            readRangesFor(file, baseConfig, baseConfig.numHosts);
+        const auto newRanges = readRangesFor(file, baseConfig, m);
+        const bool withData = file.hasEdgeData();
+        uint64_t bytesReRead = 0;
+        for (uint32_t r = 0; r < m; ++r) {
+          const ReadRange& mine = newRanges[r];
+          for (uint32_t d : deadRanks) {
+            const ReadRange adopted = intersectRanges(mine, oldRanges[d]);
+            if (adopted.numNodes() == 0 && adopted.numEdges() == 0) {
+              continue;
             }
-            const ReadRange keep =
-                intersectRanges(mine, oldRanges[survivorOldRank[r]]);
-            bytesReRead +=
-                windowBytes(mine, withData) - windowBytes(keep, withData);
+            rep.adoptedRanges.push_back(AdoptedEdgeRange{
+                newAlive[r], aliveOriginal[d], adopted.nodeBegin,
+                adopted.nodeEnd, adopted.edgeBegin, adopted.edgeEnd});
           }
-          if (report != nullptr) {
-            report->bytesReRead += bytesReRead;
-          }
-          if (obsSink.metrics) {
-            obsSink.metrics->counter("cusp.partitioner.bytes_reread")
-                .add(bytesReRead);
-          }
+          const ReadRange keep =
+              intersectRanges(mine, oldRanges[survivorOldRank[r]]);
+          bytesReRead +=
+              windowBytes(mine, withData) - windowBytes(keep, withData);
+        }
+        rep.bytesReRead += bytesReRead;
+        if (obsSink.metrics) {
+          obsSink.metrics->counter("cusp.partitioner.bytes_reread")
+              .add(bytesReRead);
         }
         aliveOriginal = std::move(newAlive);
         baseConfig.numHosts = m;
@@ -2210,34 +2089,15 @@ PartitionResult partitionGraphResilient(const graph::GraphFile& file,
           baseConfig.resilience.checkpointDir =
               config.resilience.checkpointDir + "/e" + std::to_string(epoch);
         }
-        if (config.resilience.faultPlan != nullptr) {
-          // Project the ORIGINAL plan onto the survivors: faults pinned to
-          // evicted hosts disappear; the rest follow their host to its new
-          // rank. (A transient crash that already fired may fire once more
-          // in the fresh injector — it is retryable and merely costs an
-          // attempt.)
-          baseConfig.resilience.faultPlan =
-              std::make_shared<comm::FaultPlan>(remapFaultPlan(
-                  *config.resilience.faultPlan, aliveOriginal));
-        }
-        baseInjector = makeInjector(baseConfig);
-        if (stragglerMonitor) {
-          // Fresh survivor-sized monitor: the condemned ranks are gone and
-          // the survivors restart blame from zero in the new rank space.
-          // Soft reports already emitted stay in the report tally.
-          softReportsRetired += stragglerMonitor->totalSoftReports();
-          stragglerMonitor = std::make_shared<comm::StragglerMonitor>(m);
-        }
-        if (const auto fence = support::writeFence()) {
-          // Fences are indexed in base-rank space and the rebase renumbers
-          // it. The fenced ranks just left the base with their eviction, so
-          // the protection they provided is moot (nothing writes as them
-          // any more, and the shrunk base gets its own epoch directory);
-          // lifting keeps a stale fence from misapplying to a reused rank.
-          for (uint32_t h : fence->fencedHosts()) {
-            fence->lift(h);
-          }
-        }
+        // Project the ORIGINAL plan onto the survivors: faults pinned to
+        // evicted hosts disappear; the rest follow their host to its new
+        // rank. (A transient crash that already fired may fire once more in
+        // the fresh injector — it is retryable and merely costs an attempt.)
+        recovery.rebase(m, config.resilience.faultPlan == nullptr
+                               ? nullptr
+                               : std::make_shared<comm::FaultPlan>(
+                                     remapFaultPlan(*config.resilience.faultPlan,
+                                                    aliveOriginal)));
         healRejoin = false;
         pendingRedistribution.clear();
         pendingReplicaBytes = 0;

@@ -19,7 +19,6 @@
 //                           (IV-D1); optional in-memory transpose to CSC.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -35,17 +34,6 @@
 #include "support/timer.h"
 
 namespace cusp::core {
-
-// Run-scoped checkpoint-store health, shared by every host of a run and by
-// every recovery attempt (config copies alias the same object). A failed
-// checkpoint write never fails the phase — the run just loses one restart
-// point — but a persistent ENOSPC latches `disabled`, switching the rest of
-// the run into an explicit uncheckpointed continuation (a full disk will
-// not heal by writing four more phases into it).
-struct CheckpointHealth {
-  std::atomic<bool> disabled{false};
-  std::atomic<uint32_t> writeFailures{0};
-};
 
 // Fault-tolerance knobs; everything off by default, in which case the
 // partitioner's behavior (messages, bytes, outputs) is identical to a
@@ -116,14 +104,6 @@ struct ResilienceConfig {
   // fault — so it propagates to the caller immediately instead of burning
   // recovery attempts. Null (the default) never cancels.
   std::shared_ptr<support::CancelToken> cancel;
-
-  // Checkpoint-store health latch (see CheckpointHealth above). Allocated
-  // per config; copies alias it, so the driver's retries and every host of
-  // the run observe the same latch. The latch lives as long as the config
-  // object: reusing one config for several runs deliberately keeps an
-  // ENOSPC verdict (the disk is still full).
-  std::shared_ptr<CheckpointHealth> checkpointHealth =
-      std::make_shared<CheckpointHealth>();
 };
 
 // One membership eviction performed by the degraded-mode driver.

@@ -213,11 +213,6 @@ Engine::PartitionSet Engine::partitionLocked(
     config.resilience.checkpointDir =
         options_.workDir + "/j" + std::to_string(jobId);
   }
-  // Fresh health latch per run: this job's ENOSPC verdict must not leak
-  // into sibling jobs through a shared config object.
-  config.resilience.checkpointHealth =
-      std::make_shared<core::CheckpointHealth>();
-
   const core::PartitionPolicy policy = core::makePolicy(upper(spec.policy));
 
   hostPool_.acquire(spec.numHosts, cancel);

@@ -17,11 +17,13 @@
 //    resilient drivers' recovery machinery — and crash-time resume — work
 //    per job instead of per process.
 //
-// Concurrency contract: the process-wide seams (memory budget, write
-// fence, storage faults, obs sink) are attached ONCE, by the daemon or the
-// test, for the process lifetime. partitionGraphResilient already skips its
-// per-run attaches when a seam is pre-attached, so concurrent jobs share
-// the process seams instead of fighting over scoped attach/restore order.
+// Concurrency contract: the three process-wide seams (memory budget,
+// storage faults, obs sink) are attached ONCE, by the daemon or the test,
+// for the process lifetime. partitionGraphResilient skips its per-run
+// budget attach when one is pre-attached, so concurrent jobs share the
+// process seams instead of fighting over scoped attach/restore order.
+// Per-run recovery state — the write fence and the ENOSPC latch — belongs
+// to each driver run (core/recovery.h), so jobs never share it.
 #pragma once
 
 #include <atomic>

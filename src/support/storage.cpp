@@ -42,16 +42,6 @@ std::shared_ptr<StorageFaultInjector>& globalInjector() {
   return injector;
 }
 
-std::mutex& fenceMutex() {
-  static std::mutex m;
-  return m;
-}
-
-std::shared_ptr<WriteFence>& globalFence() {
-  static std::shared_ptr<WriteFence> fence;
-  return fence;
-}
-
 std::optional<StorageFault> consult(StorageOp op, const std::string& path) {
   auto injector = storageFaults();
   if (!injector) {
@@ -271,32 +261,6 @@ uint64_t WriteFence::fencedWriteAttempts() const {
 void WriteFence::countFencedWriteAttempt() {
   std::lock_guard<std::mutex> lock(mutex_);
   ++fencedWriteAttempts_;
-}
-
-std::shared_ptr<WriteFence> writeFence() {
-  std::lock_guard<std::mutex> lock(fenceMutex());
-  return globalFence();
-}
-
-void attachWriteFence(std::shared_ptr<WriteFence> fence) {
-  std::lock_guard<std::mutex> lock(fenceMutex());
-  globalFence() = std::move(fence);
-}
-
-void detachWriteFence() {
-  std::lock_guard<std::mutex> lock(fenceMutex());
-  globalFence().reset();
-}
-
-ScopedWriteFence::ScopedWriteFence() : fence_(std::make_shared<WriteFence>()) {
-  std::lock_guard<std::mutex> lock(fenceMutex());
-  previous_ = globalFence();
-  globalFence() = fence_;
-}
-
-ScopedWriteFence::~ScopedWriteFence() {
-  std::lock_guard<std::mutex> lock(fenceMutex());
-  globalFence() = previous_;
 }
 
 void atomicWriteFile(const std::string& path, const void* data, size_t size) {

@@ -172,15 +172,16 @@ class ScopedStorageFaults {
 
 // --- epoch write fence (split-brain protection) ---
 
-// Process-attachable fencing token shared by every host thread of a
-// simulated cluster. Quorum agreement (comm::Network::agreeMembership and
-// the resilient driver) advances the cluster epoch and fences the hosts on
-// the losing side of a network partition; the checkpoint store consults the
-// fence BEFORE any write, so a fenced host can never clobber or
-// buddy-replicate stale state — its writes are refused pre-I/O, leaving no
-// torn debris for the GC to sweep. Fencing is sticky per host until
-// lifted() at heal-time rejoin. Lives beside the storage-fault seam (and
-// attaches the same way) because it guards the same choke point.
+// Fencing token shared by every host thread of one resilient run. Quorum
+// agreement (comm::Network::agreeMembership and the resilient driver)
+// advances the cluster epoch and fences the hosts on the losing side of a
+// network partition; the checkpoint store consults the fence BEFORE any
+// write, so a fenced host can never clobber or buddy-replicate stale state
+// — its writes are refused pre-I/O, leaving no torn debris for the GC to
+// sweep. Fencing is sticky per host until lifted at heal-time rejoin. The
+// run owns its fence and hands it to its Networks and checkpoint writes
+// (core/recovery.h); nothing attaches it process-wide, so concurrent runs
+// never see each other's epochs.
 class WriteFence {
  public:
   // Monotone-max advance of the cluster fencing epoch. Returns the epoch
@@ -203,28 +204,6 @@ class WriteFence {
   uint64_t epoch_ = 0;
   std::vector<bool> fenced_;  // indexed by host id (grown on demand)
   uint64_t fencedWriteAttempts_ = 0;
-};
-
-// Current fence; nullptr when detached (the default — checkpoint writes are
-// then unguarded, exactly the pre-split-brain behavior).
-std::shared_ptr<WriteFence> writeFence();
-void attachWriteFence(std::shared_ptr<WriteFence> fence);
-void detachWriteFence();
-
-// RAII attach of a fresh fence; restores the previous one on destruction so
-// scopes nest (mirrors ScopedStorageFaults).
-class ScopedWriteFence {
- public:
-  ScopedWriteFence();
-  ScopedWriteFence(const ScopedWriteFence&) = delete;
-  ScopedWriteFence& operator=(const ScopedWriteFence&) = delete;
-  ~ScopedWriteFence();
-
-  const std::shared_ptr<WriteFence>& fence() const { return fence_; }
-
- private:
-  std::shared_ptr<WriteFence> fence_;
-  std::shared_ptr<WriteFence> previous_;
 };
 
 // --- primitives ---

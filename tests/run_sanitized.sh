@@ -5,36 +5,31 @@
 # exactly the code most likely to hide races and lifetime bugs, so both
 # sanitizers are part of the pre-merge checklist.
 #
-# Usage: tests/run_sanitized.sh [asan-ubsan|tsan|ubsan|tsan-degraded|
-# tsan-chaos|tsan-obs|tsan-storage|tsan-splitbrain|asan-memory|
-# tsan-service|tsan-commbuf|asan-core|tsan-core|tsan-analytics]
+# Usage: tests/run_sanitized.sh [asan-ubsan|tsan|ubsan|tsan-recovery|
+# tsan-obs|asan-memory|tsan-service|tsan-commbuf|asan-core|tsan-core|
+# tsan-analytics]
 # (default: both full suites; tsan-commbuf runs the comm and commbuf labels).
-# `tsan-degraded` builds
-# the TSan preset but runs only the tests labeled `degraded` (eviction,
-# buddy replication, degraded recovery) — the membership machinery races
-# against blocked receivers by design, so it gets a focused TSan lane cheap
-# enough to run on every change. `tsan-chaos` is the same idea for the
-# `chaos` label (corruption recovery + mixed-fault pipeline runs): the
-# rollback/restart paths tear down and respawn host threads mid-run, which
-# is where TSan earns its keep. `tsan-obs` runs the `obs` label under TSan:
-# the metrics registry and trace buffer are hammered concurrently by every
-# host thread, so their lock/atomic discipline gets its own cheap lane.
-# `tsan-storage` runs the `storage` label under TSan: the storage fault
-# injector and checkpoint-health latch are shared process-wide across every
-# host thread, and the straggler monitor is read from concurrent receivers,
-# so their synchronization gets a focused lane too. `tsan-splitbrain` runs
-# the `splitbrain` label under TSan: quorum fencing races host threads
-# against each other (concurrent agreeMembership evictions, the shared
-# write fence, suspicion tracking, partitioned-send failure paths), so the
-# split-brain machinery gets its own lane. `asan-memory` runs the
+# `tsan-recovery` builds the TSan preset but runs only the recovery code's
+# labels: `degraded` (eviction, buddy replication, degraded recovery),
+# `splitbrain` (quorum fencing, the run's write fence, suspicion tracking),
+# `storage` (the storage fault injector, the run's ENOSPC latch, the
+# straggler monitor read from concurrent receivers), `chaos` (corruption
+# recovery and mixed-fault pipeline runs) and `fuzz` (the FaultPlanFuzz
+# battery over crashes, storage faults, stragglers and degraded mode). The
+# resilient drivers tear down and respawn host threads mid-run and share
+# one recovery context across them, which is where TSan earns its keep.
+# `tsan-obs` runs the `obs` label under TSan: the metrics registry and
+# trace buffer are hammered concurrently by every host thread, so their
+# lock/atomic discipline gets its own cheap lane. `asan-memory` runs the
 # `memory` label under ASan+UBSan: the memory governor moves the pipeline's
 # buffers through charge/release pairs, spill files and takeVector()
 # handoffs, so leaks and use-after-release there are exactly what ASan
 # catches. `tsan-service` runs the `service` label under TSan: the daemon's
 # worker pool, the engine's shared partition cache and host-pool semaphore,
-# the journal, and the concurrent attach/detach hammering of the process-
-# wide seams (test_seams) are the service layer's concurrency surface, so
-# it gets its own lane. `tsan-commbuf` runs the `comm` and `commbuf` labels
+# the journal, and the concurrent attach/detach hammering of the three
+# process-wide seams (test_seams) are the service layer's concurrency
+# surface, so it gets its own lane. `tsan-commbuf` runs the `comm` and
+# `commbuf` labels
 # under TSan (test_comm for the bare send/sendReliable/BufferedSender path,
 # test_comm_buffered for the aggregated one): both paths share one attempt
 # loop and one mailbox enqueue, the send-aggregation channels are written
@@ -70,21 +65,12 @@ jobs="$(nproc 2>/dev/null || echo 4)"
 for preset in "${presets[@]}"; do
   label_args=()
   build_preset="$preset"
-  if [ "$preset" = "tsan-degraded" ]; then
+  if [ "$preset" = "tsan-recovery" ]; then
     build_preset="tsan"
-    label_args=(-L degraded)
-  elif [ "$preset" = "tsan-chaos" ]; then
-    build_preset="tsan"
-    label_args=(-L chaos)
+    label_args=(-L '^(degraded|splitbrain|storage|chaos|fuzz)$')
   elif [ "$preset" = "tsan-obs" ]; then
     build_preset="tsan"
     label_args=(-L obs)
-  elif [ "$preset" = "tsan-storage" ]; then
-    build_preset="tsan"
-    label_args=(-L storage)
-  elif [ "$preset" = "tsan-splitbrain" ]; then
-    build_preset="tsan"
-    label_args=(-L splitbrain)
   elif [ "$preset" = "asan-memory" ]; then
     build_preset="asan-ubsan"
     label_args=(-L memory)

@@ -33,6 +33,8 @@
 #include "core/policies.h"
 #include "graph/generators.h"
 #include "graph/graph_file.h"
+#include "obs/obs.h"
+#include "support/memory.h"
 #include "testutil.h"
 
 namespace cusp {
@@ -809,6 +811,109 @@ TEST_F(PathATest, BuddyDeathDuringRedistributionFallsBackToRepartition) {
   EXPECT_TRUE(found)
       << "no crossing of host 1 in the redistribution round produced the "
          "replica-lost fallback";
+}
+
+// ---------------------------------------------------------------------------
+// Driver counters mirror the RecoveryReport.
+// ---------------------------------------------------------------------------
+
+// Runs `config` with a sink attached and checks every driver counter
+// against the report field it mirrors. `heals` is the number of healing
+// partition events the plan fires (the report has no field for it).
+RecoveryReport expectCountersMatchReport(const graph::GraphFile& file,
+                                         const core::PartitionPolicy& policy,
+                                         const PartitionerConfig& config,
+                                         uint64_t heals) {
+  obs::ScopedObservability obsScope;
+  RecoveryReport report;
+  core::partitionGraphResilient(file, policy, config, &report);
+  const auto snap = obsScope.metrics().snapshot();
+  EXPECT_EQ(snap.counterValue("cusp.partitioner.evictions"),
+            report.evictions.size());
+  EXPECT_EQ(snap.counterValue("cusp.partitioner.bytes_reread"),
+            report.bytesReRead);
+  EXPECT_EQ(snap.counterValue("cusp.partitioner.replica_bytes_read"),
+            report.replicaBytesRead);
+  EXPECT_EQ(snap.counterValue("cusp.net.partition.events"),
+            report.partitionEvents);
+  EXPECT_EQ(snap.counterValue("cusp.net.partition.heals"), heals);
+  EXPECT_EQ(snap.counterValue("cusp.net.partition.rejoins"),
+            report.rejoinedHosts.size());
+  // The driver's series is the unlabelled one; Network counts the same
+  // name per host.
+  EXPECT_EQ(snap.counterValue("cusp.net.partition.quorum_evictions"),
+            report.fencedHosts.size() - report.rejoinedHosts.size());
+  EXPECT_EQ(snap.counterValue("cusp.mem.pressure_events"),
+            report.memoryPressureEvents);
+  return report;
+}
+
+TEST(DriverCountersTest, PathAMatchesReport) {
+  const graph::CsrGraph g = graph::generateErdosRenyi(150, 700, 9);
+  const graph::GraphFile file = graph::GraphFile::fromCsr(g);
+  const auto policy = core::makePolicy("EEC");
+  const auto pathA = findPathARun(file, policy);
+  ASSERT_TRUE(pathA.has_value());
+  TempDir dir;
+  auto plan = std::make_shared<comm::FaultPlan>();
+  plan->crashes.push_back(
+      {/*host=*/0, /*phase=*/5, pathA->crashOps, /*permanent=*/true});
+  const RecoveryReport report = expectCountersMatchReport(
+      file, policy, degradedConfig(dir.path(), 4, plan), 0);
+  ASSERT_EQ(report.evictions.size(), 1u);
+  EXPECT_TRUE(report.evictions[0].redistributed);
+}
+
+TEST(DriverCountersTest, PathBMatchesReport) {
+  const graph::CsrGraph g = graph::generateErdosRenyi(300, 1200, 17);
+  const graph::GraphFile file = graph::GraphFile::fromCsr(g);
+  TempDir dir;
+  auto plan = std::make_shared<comm::FaultPlan>();
+  plan->crashes.push_back(
+      {/*host=*/1, /*phase=*/3, /*opsIntoPhase=*/0, /*permanent=*/true});
+  const RecoveryReport report = expectCountersMatchReport(
+      file, core::makePolicy("EEC"), degradedConfig(dir.path(), 4, plan), 0);
+  ASSERT_EQ(report.evictions.size(), 1u);
+  EXPECT_GT(report.bytesReRead, 0u);
+}
+
+TEST(DriverCountersTest, QuorumRungsMatchReport) {
+  const graph::CsrGraph g = graph::generateErdosRenyi(300, 1200, 17);
+  const graph::GraphFile file = graph::GraphFile::fromCsr(g);
+  const auto policy = core::makePolicy("EEC");
+  for (const bool heals : {true, false}) {
+    SCOPED_TRACE(heals ? "heal rejoin" : "quorum eviction");
+    TempDir dir;
+    auto plan = std::make_shared<comm::FaultPlan>();
+    plan->partitions.push_back({/*groupOf=*/{0, 0, 0, 0, 1}, /*phase=*/3,
+                                heals});
+    const RecoveryReport report = expectCountersMatchReport(
+        file, policy, degradedConfig(dir.path(), 5, plan), heals ? 1 : 0);
+    EXPECT_EQ(report.partitionEvents, 1u);
+    EXPECT_EQ(report.fencedHosts, (std::vector<uint32_t>{4}));
+    EXPECT_EQ(report.evictions.size(), heals ? 0u : 1u);
+  }
+}
+
+TEST(DriverCountersTest, MemoryLadderRungMatchesReport) {
+  TempDir dir;
+  const graph::CsrGraph g = testutil::testGraphCatalog()[5].graph;  // rmat8
+  const graph::GraphFile file = graph::GraphFile::fromCsr(g);
+  PartitionerConfig config;
+  config.numHosts = 4;
+  config.forceStreamingWindows = true;
+  config.streamChunkEdges = 4096;
+  config.memoryBudgetBytes = 1 << 20;
+  config.resilience.enableCheckpoints = true;
+  config.resilience.checkpointDir = dir.path() + "/ckpt";
+  config.resilience.maxRecoveryAttempts = 1;
+  auto plan = std::make_shared<support::MemoryFaultPlan>();
+  plan->faults.push_back({support::MemoryFaultKind::kAllocFail,
+                          "partition.chunk.h0", 0, 1, 0});
+  config.resilience.memoryFaultPlan = plan;
+  const RecoveryReport report =
+      expectCountersMatchReport(file, core::makePolicy("EEC"), config, 0);
+  EXPECT_EQ(report.memoryPressureEvents, 1u);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Concurrent attach/detach of the process-wide seams.
 //
 // The service layer turned the seams — storage-fault injector, memory
-// budget, write fence, observability sink — from per-run scoped state into
+// budget, observability sink — from per-run scoped state into
 // infrastructure shared by every concurrent job in the process. The
 // documented contract (service/engine.h) is attach-once-per-process, but
 // the seam machinery itself must stay data-race-free even when scopes
@@ -108,26 +108,6 @@ TEST(SeamConcurrencyTest, MemoryBudgetScopesRaceFree) {
   EXPECT_FALSE(support::memoryBudgetAttached());
 }
 
-TEST(SeamConcurrencyTest, WriteFenceScopesRaceFree) {
-  hammer(
-      [](int t, int i) {
-        support::ScopedWriteFence scope;
-        scope.fence()->advance(static_cast<uint64_t>(t * kAttachIters + i));
-      },
-      [](int, int i) {
-        const auto fence = support::writeFence();
-        if (fence) {
-          fence->advance(static_cast<uint64_t>(i));
-          (void)fence->isFenced(static_cast<uint32_t>(i % 8));
-          (void)fence->epoch();
-          (void)fence->fencedWriteAttempts();
-        }
-      });
-
-  support::detachWriteFence();
-  EXPECT_EQ(support::writeFence(), nullptr);
-}
-
 TEST(SeamConcurrencyTest, ObservabilityScopesRaceFree) {
   hammer(
       [](int, int) {
@@ -148,20 +128,16 @@ TEST(SeamConcurrencyTest, ObservabilityScopesRaceFree) {
 
 TEST(SeamConcurrencyTest, AllSeamsTogetherRaceFree) {
   // The daemon's real shape: every seam cycling at once while users consult
-  // all four — cross-seam interleavings included.
+  // all three — cross-seam interleavings included.
   hammer(
       [](int t, int i) {
-        switch ((t + i) % 4) {
+        switch ((t + i) % 3) {
           case 0: {
             support::ScopedStorageFaults s{support::StorageFaultPlan{}};
             break;
           }
           case 1: {
             support::ScopedMemoryBudget s(32ull << 20);
-            break;
-          }
-          case 2: {
-            support::ScopedWriteFence s;
             break;
           }
           default: {
@@ -179,9 +155,6 @@ TEST(SeamConcurrencyTest, AllSeamsTogetherRaceFree) {
             (void)budget->stats();
           }
         }
-        if (const auto fence = support::writeFence()) {
-          (void)fence->epoch();
-        }
         if (const auto injector = support::storageFaults()) {
           (void)injector->stats();
         }
@@ -190,7 +163,6 @@ TEST(SeamConcurrencyTest, AllSeamsTogetherRaceFree) {
 
   support::detachStorageFaults();
   support::detachMemoryBudget();
-  support::detachWriteFence();
   obs::detach();
 }
 

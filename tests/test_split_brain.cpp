@@ -17,6 +17,9 @@
 #include <cstdint>
 #include <exception>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -201,12 +204,13 @@ TEST(LinkFaultTest, SuspicionFromFailedSendsClearsOnHeal) {
                                 comm::FaultAction::kDrop});
   comm::Network net(3);
   net.setFaultInjector(std::make_shared<comm::FaultInjector>(plan));
-  support::ScopedWriteFence fenceScope;
+  const auto fence = std::make_shared<support::WriteFence>();
+  net.setWriteFence(fence);
 
   EXPECT_THROW(net.sendReliable(0, 1, comm::kTagGeneric, makePayload(8)),
                comm::SendRetriesExhausted);
   EXPECT_FALSE(net.linkReachable(0, 1));  // suspicion recorded
-  EXPECT_FALSE(fenceScope.fence()->isFenced(0));  // but no fence: no cut
+  EXPECT_FALSE(fence->isFenced(0));  // but no fence: no cut
   net.clearSuspicions();
   EXPECT_TRUE(net.linkReachable(0, 1));
 }
@@ -282,7 +286,8 @@ TEST(QuorumTest, SeveredOnlyPeerFencesMinoritySender) {
        /*fromPhase=*/0});
   comm::Network net(2);
   net.setFaultInjector(std::make_shared<comm::FaultInjector>(plan));
-  support::ScopedWriteFence fenceScope;
+  const auto fence = std::make_shared<support::WriteFence>();
+  net.setWriteFence(fence);
 
   try {
     net.sendReliable(0, 1, comm::kTagGeneric, makePayload(8));
@@ -293,8 +298,8 @@ TEST(QuorumTest, SeveredOnlyPeerFencesMinoritySender) {
     EXPECT_EQ(e.numAlive, 2u);
     EXPECT_GE(e.epoch, 1u);
   }
-  EXPECT_TRUE(fenceScope.fence()->isFenced(0));
-  EXPECT_GE(fenceScope.fence()->epoch(), 1u);
+  EXPECT_TRUE(fence->isFenced(0));
+  EXPECT_GE(fence->epoch(), 1u);
 }
 
 TEST(QuorumTest, MajorityAgreesAndEvictsUnreachableMinority) {
@@ -307,7 +312,8 @@ TEST(QuorumTest, MajorityAgreesAndEvictsUnreachableMinority) {
       {/*groupOf=*/{0, 0, 0, 0, 1}, /*phase=*/0, /*heals=*/false});
   comm::Network net(5);
   net.setFaultInjector(std::make_shared<comm::FaultInjector>(plan));
-  support::ScopedWriteFence fenceScope;
+  const auto fence = std::make_shared<support::WriteFence>();
+  net.setWriteFence(fence);
 
   std::vector<std::optional<comm::MembershipView>> views(5);
   std::vector<std::exception_ptr> errors(5);
@@ -338,8 +344,8 @@ TEST(QuorumTest, MajorityAgreesAndEvictsUnreachableMinority) {
     EXPECT_EQ(e.host, 4u);
   }
   EXPECT_FALSE(net.isAlive(4));
-  EXPECT_TRUE(fenceScope.fence()->isFenced(4));
-  EXPECT_GE(fenceScope.fence()->epoch(), 1u);
+  EXPECT_TRUE(fence->isFenced(4));
+  EXPECT_GE(fence->epoch(), 1u);
 }
 
 TEST(QuorumTest, EvenSplitTieFailsFastOnEverySide) {
@@ -351,7 +357,8 @@ TEST(QuorumTest, EvenSplitTieFailsFastOnEverySide) {
       {/*groupOf=*/{0, 0, 1, 1}, /*phase=*/0, /*heals=*/false});
   comm::Network net(4);
   net.setFaultInjector(std::make_shared<comm::FaultInjector>(plan));
-  support::ScopedWriteFence fenceScope;
+  const auto fence = std::make_shared<support::WriteFence>();
+  net.setWriteFence(fence);
 
   for (uint32_t h = 0; h < 4; ++h) {
     try {
@@ -362,7 +369,7 @@ TEST(QuorumTest, EvenSplitTieFailsFastOnEverySide) {
       EXPECT_EQ(e.componentSize, 2u);
       EXPECT_EQ(e.numAlive, 4u);
     }
-    EXPECT_TRUE(fenceScope.fence()->isFenced(h));
+    EXPECT_TRUE(fence->isFenced(h));
     EXPECT_TRUE(net.isAlive(h));  // fenced, not evicted: nobody had quorum
   }
 }
@@ -398,8 +405,7 @@ TEST(QuorumTest, EvictPurgesDeadHostsBacklogAndDupFilterChannels) {
 
 TEST(WriteFenceTest, FencedHostCheckpointWritesRefusedBeforeAnyIo) {
   TempDir dir;
-  support::ScopedWriteFence fenceScope;
-  auto& fence = *fenceScope.fence();
+  support::WriteFence fence;
   fence.advance(1);
   fence.fence(1);
 
@@ -414,7 +420,7 @@ TEST(WriteFenceTest, FencedHostCheckpointWritesRefusedBeforeAnyIo) {
     support::ScopedStorageFaults seam(seamPlan);
     try {
       core::saveCheckpoint(dir.path(), /*host=*/1, /*numHosts=*/4,
-                           /*phase=*/3, payload);
+                           /*phase=*/3, payload, &fence);
       FAIL() << "fenced checkpoint write was not refused";
     } catch (const support::StorageError& e) {
       EXPECT_EQ(e.kind, support::StorageError::Kind::kWriteFailed);
@@ -422,7 +428,7 @@ TEST(WriteFenceTest, FencedHostCheckpointWritesRefusedBeforeAnyIo) {
     // The buddy replica is the fenced OWNER's write too: also refused.
     EXPECT_THROW(core::saveCheckpointReplica(dir.path(), /*owner=*/1,
                                              /*numHosts=*/4, /*phase=*/3,
-                                             payload),
+                                             payload, &fence),
                  support::StorageError);
     EXPECT_EQ(seam.stats().writeFailures, 0u)
         << "a fenced write reached the storage seam";
@@ -435,13 +441,13 @@ TEST(WriteFenceTest, FencedHostCheckpointWritesRefusedBeforeAnyIo) {
 
   // An unfenced host writes normally while host 1 is fenced.
   core::saveCheckpoint(dir.path(), /*host=*/0, /*numHosts=*/4, /*phase=*/3,
-                       payload);
+                       payload, &fence);
   EXPECT_TRUE(core::loadCheckpoint(dir.path(), 0, 4, 3).has_value());
 
   // Heal-time rejoin lifts the fence; the host can write again.
   fence.lift(1);
   core::saveCheckpoint(dir.path(), /*host=*/1, /*numHosts=*/4, /*phase=*/3,
-                       payload);
+                       payload, &fence);
   EXPECT_TRUE(core::loadCheckpoint(dir.path(), 1, 4, 3).has_value());
   EXPECT_EQ(fence.fencedWriteAttempts(), 2u);  // unchanged after lift
 }
@@ -609,6 +615,73 @@ TEST(SplitBrainDriverTest, HealWithCompletePhase5StateRejoinsByRedistribution) {
   EXPECT_EQ(report.rejoinedHosts, (std::vector<uint32_t>{4}));
   EXPECT_TRUE(report.evictions.empty());
   expectBitIdentical(expected.partitions, result.partitions);
+}
+
+// Every file under `dir`, keyed by its path relative to `dir`.
+std::map<std::string, std::vector<uint8_t>> filesUnder(const std::string& dir) {
+  std::map<std::string, std::vector<uint8_t>> files;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(dir)) {
+    if (entry.is_regular_file()) {
+      std::ifstream in(entry.path(), std::ios::binary);
+      files[std::filesystem::relative(entry.path(), dir).string()] =
+          std::vector<uint8_t>(std::istreambuf_iterator<char>(in), {});
+    }
+  }
+  return files;
+}
+
+TEST(SplitBrainDriverTest, ConcurrentRunsNeverShareAWriteFence) {
+  // Two degraded runs in one process: one resolves an unhealed partition
+  // (its quorum rung fences host 4 and advances its fence epoch), the other
+  // runs clean. The clean run must write exactly what it writes alone: no
+  // foreign epoch stamped into its headers, no write refused by a fence it
+  // never raised.
+  const graph::CsrGraph g = graph::generateErdosRenyi(300, 1200, 17);
+  const graph::GraphFile file = graph::GraphFile::fromCsr(g);
+  const auto policy = core::makePolicy("EEC");
+  auto plan = std::make_shared<comm::FaultPlan>();
+  plan->partitions.push_back(
+      {/*groupOf=*/{0, 0, 0, 0, 1}, /*phase=*/3, /*heals=*/false});
+
+  TempDir soloDir;
+  core::partitionGraphResilient(file, policy,
+                                degradedConfig(soloDir.path(), 5, nullptr));
+  const auto solo = filesUnder(soloDir.path());
+  ASSERT_FALSE(solo.empty());
+
+  for (int repeat = 0; repeat < 4; ++repeat) {
+    SCOPED_TRACE("repeat " + std::to_string(repeat));
+    TempDir cutDir;
+    TempDir cleanDir;
+    RecoveryReport cutReport;
+    RecoveryReport cleanReport;
+    std::exception_ptr cutError;
+    std::thread cut([&] {
+      try {
+        core::partitionGraphResilient(
+            file, policy, degradedConfig(cutDir.path(), 5, plan), &cutReport);
+      } catch (...) {
+        cutError = std::current_exception();
+      }
+    });
+    core::partitionGraphResilient(
+        file, policy, degradedConfig(cleanDir.path(), 5, nullptr),
+        &cleanReport);
+    cut.join();
+    ASSERT_EQ(cutError, nullptr);
+    EXPECT_EQ(cutReport.fencedHosts, (std::vector<uint32_t>{4}));
+
+    EXPECT_EQ(cleanReport.fencedWriteAttempts, 0u);
+    EXPECT_EQ(cleanReport.checkpointWriteFailures, 0u);
+    const auto clean = filesUnder(cleanDir.path());
+    ASSERT_EQ(clean.size(), solo.size());
+    for (const auto& [name, bytes] : solo) {
+      const auto it = clean.find(name);
+      ASSERT_NE(it, clean.end()) << name;
+      EXPECT_TRUE(it->second == bytes) << name << " differs from the solo run";
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <string>
 #include <system_error>
@@ -487,6 +488,61 @@ TEST(StorageChaosTest, EnospcMidAnalyticsRunContinuesAndMatchesReference) {
   EXPECT_EQ(got, analytics::bfsReference(g, source));
   EXPECT_TRUE(report.checkpointingDisabledByEnospc);
   EXPECT_GE(report.checkpointWriteFailures, 1u);
+}
+
+// One resilient CVC run on 2 hosts whose host 1 crashes (transiently) at
+// phase 3 while host 0's phase-2 checkpoint fails its `readFailAt`-th read.
+struct ResumeProbeRun {
+  core::RecoveryReport report;
+  uint64_t filesWritten = 0;
+  std::map<uint32_t, uint64_t> restores;  // phase -> host restores of it
+};
+
+ResumeProbeRun runResumeProbe(uint64_t readFailAt, bool withReport) {
+  const graph::CsrGraph g = graph::generateErdosRenyi(220, 900, 20);
+  const graph::GraphFile file = graph::GraphFile::fromCsr(g);
+  TempDir dir;
+  core::PartitionerConfig config = resilientConfig(dir.path(), 2);
+  auto plan = std::make_shared<comm::FaultPlan>();
+  plan->crashes.push_back(
+      {/*host=*/1, /*phase=*/3, /*opsIntoPhase=*/0, /*permanent=*/false});
+  config.resilience.faultPlan = plan;
+  ScopedStorageFaults storage(
+      onePlan(StorageFaultKind::kReadFail, "h0.p2.ckpt", readFailAt));
+  obs::ScopedObservability obsScope;
+
+  ResumeProbeRun run;
+  core::partitionGraphResilient(file, core::makePolicy("CVC"), config,
+                                withReport ? &run.report : nullptr);
+  const auto snap = obsScope.sink().metrics->snapshot();
+  run.filesWritten = snap.counterValue("cusp.checkpoint.files_written");
+  for (uint32_t phase = 1; phase <= 5; ++phase) {
+    if (const uint64_t n = snap.counterValue(
+            "cusp.partitioner.checkpoints_restored",
+            {{"phase", std::to_string(phase)}})) {
+      run.restores[phase] = n;
+    }
+  }
+  return run;
+}
+
+TEST(StorageChaosTest, RecoveryReportObservesTheResumeAgreementOnly) {
+  // The report must describe the hosts' own resume agreement without
+  // taking part in it: asking for a report may not spend the storage
+  // fault's read occurrences, and the reported phase is the one restored.
+  for (uint64_t readFailAt : {1u, 2u}) {
+    SCOPED_TRACE("read fault at occurrence " + std::to_string(readFailAt));
+    const ResumeProbeRun plain = runResumeProbe(readFailAt, false);
+    const ResumeProbeRun reported = runResumeProbe(readFailAt, true);
+    EXPECT_GE(reported.report.attempts, 2u) << "the crash must have fired";
+    EXPECT_EQ(reported.restores, plain.restores);
+    EXPECT_EQ(reported.filesWritten, plain.filesWritten);
+    // Every restoring attempt settled on the same phase, which the report
+    // names.
+    ASSERT_EQ(reported.restores.size(), 1u);
+    EXPECT_EQ(reported.report.resumedFromPhase,
+              reported.restores.begin()->first);
+  }
 }
 
 // ---------------------------------------------------------------------------
